@@ -419,6 +419,81 @@ def _parse_node_block(value: str, what: str) -> tuple:
         raise ReproError(f"bad --{what} value {value!r}, expected NODE@BLOCK")
 
 
+def _fault_plan(args: argparse.Namespace):
+    """Parse every fault flag on ``args`` into one seeded ``FaultPlan``.
+
+    Called before any data is generated, so a malformed spec is rejected
+    without paying for the workload.  The plan draws from its own seed,
+    never from the generation RNG.  ``repro trace`` takes a subset of
+    ``repro chaos``'s fault flags; the ones it lacks inject nothing.
+    """
+    from .faults import (
+        BitRot,
+        DriverRestart,
+        FaultPlan,
+        FlakyLink,
+        MetaOutage,
+        NetworkPartition,
+        NodeCrash,
+        SlowNode,
+        StaleMetadata,
+        TransientFaults,
+    )
+
+    def flag(name: str) -> list:
+        return getattr(args, name, [])
+
+    crashes = tuple(
+        NodeCrash(node, time=0.0 if t is None else t)
+        for node, t in (_parse_node_at(v, "kill") for v in args.kill)
+    )
+    slow = tuple(
+        SlowNode(node, factor=2.0 if f is None else f)
+        for node, f in (_parse_node_at(v, "slow") for v in args.slow)
+    ) + tuple(
+        SlowNode(node, factor=f, start=s, end=e)
+        for node, f, s, e in (_parse_slow_spec(v) for v in flag("slow_node"))
+    )
+    links = tuple(
+        FlakyLink(a=a, b=b, loss=loss, latency_s=lat)
+        for a, b, loss, lat in (_parse_link_spec(v) for v in flag("flaky_link"))
+    )
+    partitions = tuple(
+        NetworkPartition(rack=rack, nodes=nodes, start=s, heals_at=h)
+        for rack, nodes, s, h in (_parse_partition_spec(v) for v in flag("partition"))
+    )
+    transient = (
+        TransientFaults(probability=args.flaky) if args.flaky > 0 else None
+    )
+    outages = tuple(MetaOutage(node_id) for node_id in flag("meta_down"))
+    bit_rots = tuple(
+        BitRot(node, block)
+        for node, block in (_parse_node_block(v, "bitrot") for v in args.bitrot)
+    )
+    stale = tuple(StaleMetadata(block) for block in args.stale)
+    restarts = tuple(DriverRestart(wave) for wave in sorted(flag("restart_wave")))
+    return FaultPlan(
+        seed=args.seed,
+        crashes=crashes,
+        slow_nodes=slow,
+        transient=transient,
+        meta_outages=outages,
+        bit_rots=bit_rots,
+        stale_metadata=stale,
+        driver_restarts=restarts,
+        flaky_links=links,
+        partitions=partitions,
+    )
+
+
+def _largest_subdataset(dataset) -> str:
+    """The default target of ``chaos`` and ``trace``: the sub-dataset with
+    the most bytes, the smallest id among equals.  One pass over the
+    blocks sizes every sub-dataset."""
+    sizes = dataset.subdataset_sizes()
+    return min(sizes, key=lambda sid: (-sizes[sid], sid))
+
+
 def _corrupt_replicas(cluster, dataset, rots, corrupt_count, rng, what) -> int:
     """Plant bit rot for the scrub/chaos CLI; returns replicas corrupted.
 
@@ -679,27 +754,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         args.meta_partition = False
         return _cmd_serve(args)
     from .core.metastore import DistributedMetaStore
-    from .faults import (
-        BitRot,
-        ChaosRunner,
-        DriverRestart,
-        FaultPlan,
-        FlakyLink,
-        MetaOutage,
-        NetworkPartition,
-        NodeCrash,
-        RetryPolicy,
-        SlowNode,
-        StaleMetadata,
-        TransientFaults,
-    )
+    from .faults import ChaosRunner, RetryPolicy
     from .hdfs.cluster import HDFSCluster
     from .mapreduce.apps.word_count import word_count_job
     from .units import parse_size
     from .workloads import MovieLensGenerator
 
-    # RetryPolicy validates jitter/max-elapsed; constructing it up front
-    # rejects bad CLI values before any data is generated.
+    # Every flag that needs no data is validated up front: bad CLI values
+    # are rejected before any data is generated.
     retry = RetryPolicy(
         max_attempts=args.max_attempts,
         jitter=args.retry_jitter,
@@ -707,6 +769,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     rng = np.random.default_rng(args.seed)
     coding = _coding_spec(args.coding, args.nodes)
+    plan = _fault_plan(args)
     records = MovieLensGenerator(
         num_movies=args.keys, total_reviews=args.records, rng=rng
     ).generate()
@@ -715,54 +778,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         coding=coding,
     )
     dataset = cluster.write_dataset("chaos", records)
-    sub_id = args.sub or max(
-        dataset.subdataset_ids(), key=dataset.subdataset_total_bytes
-    )
-
-    crashes = tuple(
-        NodeCrash(node, time=0.0 if t is None else t)
-        for node, t in (_parse_node_at(v, "kill") for v in args.kill)
-    )
-    slow = tuple(
-        SlowNode(node, factor=2.0 if f is None else f)
-        for node, f in (_parse_node_at(v, "slow") for v in args.slow)
-    ) + tuple(
-        SlowNode(node, factor=f, start=s, end=e)
-        for node, f, s, e in (_parse_slow_spec(v) for v in args.slow_node)
-    )
-    links = tuple(
-        FlakyLink(a=a, b=b, loss=loss, latency_s=lat)
-        for a, b, loss, lat in (_parse_link_spec(v) for v in args.flaky_link)
-    )
-    partitions = tuple(
-        NetworkPartition(rack=rack, nodes=nodes, start=s, heals_at=h)
-        for rack, nodes, s, h in (_parse_partition_spec(v) for v in args.partition)
-    )
-    transient = (
-        TransientFaults(probability=args.flaky) if args.flaky > 0 else None
-    )
-    outages = tuple(MetaOutage(node_id) for node_id in args.meta_down)
-    bit_rots = tuple(
-        BitRot(node, block)
-        for node, block in (_parse_node_block(v, "bitrot") for v in args.bitrot)
-    )
-    stale = tuple(StaleMetadata(block) for block in args.stale)
-    restarts = tuple(DriverRestart(wave) for wave in sorted(args.restart_wave))
-    plan = FaultPlan(
-        seed=args.seed,
-        crashes=crashes,
-        slow_nodes=slow,
-        transient=transient,
-        meta_outages=outages,
-        bit_rots=bit_rots,
-        stale_metadata=stale,
-        driver_restarts=restarts,
-        flaky_links=links,
-        partitions=partitions,
-    )
+    sub_id = args.sub or _largest_subdataset(dataset)
 
     metastore = None
-    if args.meta_nodes or outages:
+    if args.meta_nodes or plan.meta_outages:
         metastore = DistributedMetaStore(
             num_nodes=max(args.meta_nodes, 1), replication=args.meta_replication
         )
@@ -824,54 +843,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs.export import validate_chrome_trace_file
     from .units import parse_size
 
+    faulty = bool(
+        args.kill or args.slow or args.flaky > 0 or args.bitrot or args.stale
+    )
+    plan = _fault_plan(args) if faulty else None
     rng = np.random.default_rng(args.seed)
     records = _generate_records(args.workload, args.records, args.keys, rng)
     cluster = HDFSCluster(
         num_nodes=args.nodes, block_size=parse_size(args.block_size), rng=rng
     )
     dataset = cluster.write_dataset("trace", records)
-    sub_id = args.sub or max(
-        dataset.subdataset_ids(), key=dataset.subdataset_total_bytes
-    )
+    sub_id = args.sub or _largest_subdataset(dataset)
     obs = Observability.create()
-    faulty = bool(
-        args.kill or args.slow or args.flaky > 0 or args.bitrot or args.stale
-    )
     if faulty:
-        from .faults import (
-            BitRot,
-            ChaosRunner,
-            FaultPlan,
-            NodeCrash,
-            RetryPolicy,
-            SlowNode,
-            StaleMetadata,
-            TransientFaults,
-        )
+        from .faults import ChaosRunner, RetryPolicy
 
-        plan = FaultPlan(
-            seed=args.seed,
-            crashes=tuple(
-                NodeCrash(node, time=0.0 if t is None else t)
-                for node, t in (_parse_node_at(v, "kill") for v in args.kill)
-            ),
-            slow_nodes=tuple(
-                SlowNode(node, factor=2.0 if f is None else f)
-                for node, f in (_parse_node_at(v, "slow") for v in args.slow)
-            ),
-            transient=(
-                TransientFaults(probability=args.flaky)
-                if args.flaky > 0
-                else None
-            ),
-            bit_rots=tuple(
-                BitRot(node, block)
-                for node, block in (
-                    _parse_node_block(v, "bitrot") for v in args.bitrot
-                )
-            ),
-            stale_metadata=tuple(StaleMetadata(block) for block in args.stale),
-        )
         runner = ChaosRunner(
             cluster,
             plan,

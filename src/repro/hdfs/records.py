@@ -32,26 +32,28 @@ class Record:
             inside blocks.
         payload: the record body (review text, event JSON, ...).  Only its
             length matters to the storage layer.
+        nbytes: serialized size in bytes (id + timestamp digits + payload
+            + framing).  Derived, computed once at construction: block
+            packing, scans and every byte sum read it.
     """
 
     sub_id: str
     timestamp: float
     payload: str = ""
+    nbytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.sub_id:
             raise ConfigError("record sub_id must be non-empty")
         if self.timestamp < 0:
             raise ConfigError(f"negative timestamp: {self.timestamp}")
-
-    @property
-    def nbytes(self) -> int:
-        """Serialized size in bytes (id + timestamp digits + payload + framing)."""
-        return (
+        object.__setattr__(
+            self,
+            "nbytes",
             len(self.sub_id.encode("utf-8"))
             + len(f"{self.timestamp:.3f}")
             + len(self.payload.encode("utf-8"))
-            + RECORD_OVERHEAD
+            + RECORD_OVERHEAD,
         )
 
     def serialize(self) -> str:

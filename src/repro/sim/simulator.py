@@ -83,7 +83,7 @@ class DiscreteEventSimulator:
     @staticmethod
     def _validate(tasks: Dict[str, SimTask]) -> None:
         for task in tasks.values():
-            unknown = task.deps - tasks.keys()
+            unknown = task.deps.difference(tasks)
             if unknown:
                 raise ConfigError(
                     f"task {task.task_id} depends on unknown tasks {sorted(unknown)[:3]}"

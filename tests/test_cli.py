@@ -238,3 +238,50 @@ class TestTrace:
              "--obs", str(out)]
         ) == 0
         assert validate_chrome_trace_file(str(out / "trace.json")) > 0
+
+
+class TestDefaultTarget:
+    """Without ``--sub``, ``chaos`` and ``trace`` target the largest
+    sub-dataset, sized in one pass over the blocks."""
+
+    @pytest.mark.parametrize("command", ["chaos", "trace"])
+    def test_sizes_each_block_at_most_once(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        from repro.hdfs.block import Block
+        from repro.hdfs.cluster import HDFSCluster
+
+        sized = []
+        size_block = Block.subdataset_sizes
+        written = []
+        write = HDFSCluster.write_dataset
+
+        def counted(self):
+            sized.append(self.block_id)
+            return size_block(self)
+
+        def recorded(self, *args, **kwargs):
+            written.append(write(self, *args, **kwargs))
+            return written[-1]
+
+        monkeypatch.setattr(Block, "subdataset_sizes", counted)
+        monkeypatch.setattr(HDFSCluster, "write_dataset", recorded)
+        argv = [command, "-n", "3000", "-k", "40", "--seed", "1"]
+        if command == "trace":
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == 0
+        (dataset,) = written
+        assert 0 < len(sized) <= dataset.num_blocks
+
+    def test_ties_go_to_the_smaller_id(self):
+        from repro import HDFSCluster, Record
+        from repro.cli import _largest_subdataset
+
+        cluster = HDFSCluster(num_nodes=3, block_size=4096)
+        dataset = cluster.write_dataset(
+            "tie",
+            [Record("b", 0.0, "xx"), Record("a", 1.0, "xx"), Record("c", 2.0, "x")],
+        )
+        sizes = dataset.subdataset_sizes()
+        assert list(sizes) == ["b", "a", "c"] and sizes["a"] == sizes["b"]
+        assert _largest_subdataset(dataset) == "a"

@@ -801,10 +801,23 @@ class TestGrayCli:
         )
         assert rc == 0
 
-    def test_cli_bad_specs_rejected(self, capsys):
+    def test_cli_bad_specs_rejected(self, capsys, monkeypatch, tmp_path):
+        """Every fault spec is checked before any data is generated."""
+        from repro.workloads.movielens import MovieLensGenerator
+
+        def generate(self):
+            raise AssertionError("a bad fault spec reached data generation")
+
+        monkeypatch.setattr(MovieLensGenerator, "generate", generate)
+        trace = ["trace", "--out", str(tmp_path)]
         for argv in (
             ["chaos", "--slow-node", "1"],
             ["chaos", "--flaky-link", "nonsense"],
             ["chaos", "--partition", "rack1"],
+            ["chaos", "--kill", "1@0", "--kill", "1@2"],
+            ["chaos", "--meta-down", "m0", "--meta-down", "m0"],
+            trace + ["--kill", "nope"],
+            trace + ["--bitrot", "3"],
         ):
-            assert main(argv) == 2
+            assert main(argv) == 2, argv
+            assert "error:" in capsys.readouterr().err

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +34,27 @@ class TestRecord:
     def test_nbytes_counts_all_fields(self):
         r = Record("movie-1", 12.0, "hello")
         assert r.nbytes == len("movie-1") + len("12.000") + len("hello") + 2
+
+    @given(
+        st.text(min_size=1),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        st.text(),
+        st.text(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_cached_nbytes(self, sub_id, timestamp, payload, other):
+        """The size computed at construction is the serialized size, is
+        carried by pickle and copies, is recomputed by ``replace``, and
+        takes no part in equality or hashing."""
+        r = Record(sub_id, timestamp, payload)
+        assert r.nbytes == len(r.serialize().encode("utf-8"))
+        for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r)):
+            assert twin.nbytes == r.nbytes and twin == r
+        changed = dataclasses.replace(r, payload=other)
+        assert changed.nbytes == len(changed.serialize().encode("utf-8"))
+        stale = copy.copy(r)
+        object.__setattr__(stale, "nbytes", r.nbytes + 1)
+        assert stale == r and hash(stale) == hash(r)
 
     def test_serialize_roundtrip(self):
         r = Record("m1", 3.5, "some\ttext-free payload")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -108,6 +110,17 @@ class TestEventLoop:
     def test_slots_validated(self):
         with pytest.raises(ConfigError):
             DiscreteEventSimulator(slots_per_node=0)
+
+    def test_long_chain_validates_in_linear_time(self):
+        """Dependency checks stay linear in the task count: rescanning
+        every task id per task is quadratic, seconds on a 20k-task chain."""
+        tasks = [
+            _t(f"t{i}", node=i % 4, deps={f"t{i - 1}"} if i else ())
+            for i in range(20_000)
+        ]
+        start = time.perf_counter()
+        DiscreteEventSimulator._validate({t.task_id: t for t in tasks})
+        assert time.perf_counter() - start < 2.0
 
     @given(
         st.lists(

@@ -36,6 +36,10 @@ class Assignment:
         workload_by_node: node → total sub-dataset bytes assigned.
         local_assignments: count of tasks placed on a replica holder.
         remote_assignments: count of tasks placed off-replica.
+
+    Raises:
+        SchedulingError: a block appears twice in ``blocks_by_node``, on
+            one node or on two.
     """
 
     blocks_by_node: Dict[NodeId, List[int]]
@@ -45,10 +49,17 @@ class Assignment:
     node_of_block: Dict[int, NodeId] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        node_of_block: Dict[int, NodeId] = {}
+        for node, blocks in self.blocks_by_node.items():
+            for b in blocks:
+                if b in node_of_block:
+                    raise SchedulingError(
+                        f"block {b} assigned twice "
+                        f"(to {node_of_block[b]!r} and {node!r})"
+                    )
+                node_of_block[b] = node
         if not self.node_of_block:
-            self.node_of_block = {
-                b: n for n, bs in self.blocks_by_node.items() for b in bs
-            }
+            self.node_of_block = node_of_block
 
     # -- metrics --------------------------------------------------------------
 

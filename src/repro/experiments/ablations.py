@@ -200,7 +200,8 @@ def run_aggregation_ablation(
     Uses the balanced (DataNet) map phase, where the shuffle is fetch-
     rather than straggler-bound, so the transfer saving is visible in both
     bytes and seconds.  Implements the paper's future-work "minimize the
-    data transferred" direction (Section IV-B).
+    data transferred" direction (Section IV-B).  The greedy row is the
+    plan the engine runs: at most ``map_slots`` reducers per node.
     """
     from ..core.aggregation import plan_greedy, plan_optimal
 
@@ -214,20 +215,8 @@ def run_aggregation_ablation(
     coloc = env.engine.run_analysis(
         job, selection.local_data, colocate_reducers=True
     )
-
-    # Re-derive the per-node per-reducer volumes for the byte accounting.
-    volumes: dict = {}
-    for node, records in selection.local_data.items():
-        parts = volumes.setdefault(node, {})
-        emitted: dict = {}
-        for record in records:
-            for k, v in job.run_mapper(record):
-                emitted.setdefault(k, []).append(v)
-        for k, values in emitted.items():
-            for ck, cv in job.run_combiner(k, values):
-                r = job.partition(ck)
-                parts[r] = parts.get(r, 0) + len(repr(ck)) + len(repr(cv)) + 8
-    greedy = plan_greedy(volumes)
+    volumes = plain.shuffle.volumes
+    greedy = plan_greedy(volumes, max_reducers_per_node=env.engine.map_slots)
     optimal = plan_optimal(volumes)
     rows: List[List[object]] = [
         [
@@ -263,7 +252,6 @@ def run_speculation_ablation(
     input, so it recovers little — while DataNet removes the imbalance
     before launch.
     """
-    from ..mapreduce.speculative import SpeculativeExecutor
     from ..sim import SimTask
     from ..sim.speculation import SpeculativeSimulator
     from .pipeline import run_reference_pipeline
@@ -271,20 +259,14 @@ def run_speculation_ablation(
     pipe = run_reference_pipeline(config)
     base_maps = pipe.without_datanet.jobs["top_k_search"].map_times
     aware_maps = pipe.with_datanet.jobs["top_k_search"].map_times
-    spec = SpeculativeExecutor().run(base_maps)
-    # dynamic variant: replay the same map phase through the event-driven
-    # simulator with backups injected at the median finish
+    # replay the stock map phase through the event-driven simulator with
+    # backups injected at the median finish
     dyn = SpeculativeSimulator(slots_per_node=2).run(
         SimTask(task_id=f"map/{n}", node=n, duration=d, kind="map")
         for n, d in base_maps.items()
     )
     rows: List[List[object]] = [
         ["stock locality", f"{max(base_maps.values()):.1f}", "-"],
-        [
-            "stock + speculation (analytic)",
-            f"{spec.makespan:.1f}",
-            f"{spec.wasted_seconds:.1f}",
-        ],
         [
             "stock + speculation (event-driven)",
             f"{dyn.makespan:.1f}",

@@ -13,9 +13,9 @@ Modules:
 - :mod:`repro.mapreduce.job` — job definition (mapper/combiner/reducer).
 - :mod:`repro.mapreduce.scheduler` — the *default Hadoop* block-locality
   scheduler (the paper's "without DataNet" baseline).
-- :mod:`repro.mapreduce.shuffle` — the straggler-dominated shuffle model.
 - :mod:`repro.mapreduce.engine` — phase execution: selection (filter map
-  over blocks) and analysis (map/shuffle/reduce over filtered data).
+  over blocks) and analysis (map/shuffle/reduce over filtered data), both
+  timed on the discrete-event simulator (:mod:`repro.sim`).
 - :mod:`repro.mapreduce.apps` — the paper's four analysis applications
   plus extras.
 """
@@ -23,13 +23,12 @@ Modules:
 from .costmodel import AppProfile, ClusterCostModel, PROFILES
 from .job import MapReduceJob
 from .scheduler import LocalityScheduler
-from .shuffle import ShuffleModel, ShuffleResult
-from .speculative import SpeculativeExecutor, SpeculationResult
 from .engine import (
     MapReduceEngine,
     PhaseResult,
     JobResult,
     SelectionResult,
+    ShuffleResult,
 )
 from .checkpoint import WaveCheckpoint
 
@@ -40,12 +39,9 @@ __all__ = [
     "PROFILES",
     "MapReduceJob",
     "LocalityScheduler",
-    "ShuffleModel",
     "ShuffleResult",
     "MapReduceEngine",
     "PhaseResult",
     "JobResult",
     "SelectionResult",
-    "SpeculativeExecutor",
-    "SpeculationResult",
 ]

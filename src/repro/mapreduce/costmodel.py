@@ -6,23 +6,32 @@ use; only ratios matter for reproducing the paper's comparisons, and the
 defaults put the four applications in the same relative regime the paper
 reports (Fig. 5a: MovingAverage gains least, TopKSearch most).
 
-Task time decomposition (engine):
+Task time decomposition (selection tasks are priced by
+:func:`price_selection`, analysis tasks in :mod:`repro.sim.adapter`):
 
 - selection map task = overhead + block_bytes/disk + block_bytes·filter_cpu
   (+ block_bytes/network when reading a remote replica)
 - analysis map (per node) = overhead + local_bytes/disk +
   local_bytes·cpu_per_byte + records·cpu_per_record
-- shuffle / reduce: see :mod:`repro.mapreduce.shuffle` and the profiles'
+- shuffle / reduce: see :mod:`repro.sim.adapter` and the profiles'
   ``shuffle_selectivity`` / ``reduce_cost_per_byte``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import ConfigError
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from ..hdfs.cluster import DatasetView
+    from ..hdfs.coded import CodedReader
+    from ..hdfs.hedged import HedgedReader
+    from ..hdfs.records import Record
+    from ..hdfs.scrubber import ReadVerifier
 
-__all__ = ["ClusterCostModel", "AppProfile", "PROFILES"]
+from ..errors import ConfigError, JobError
+
+__all__ = ["ClusterCostModel", "AppProfile", "PROFILES", "price_selection"]
 
 
 @dataclass(frozen=True)
@@ -175,3 +184,82 @@ PROFILES: dict = {
         reduce_cost_per_byte=1e-8,
     ),
 }
+
+
+def price_selection(
+    cost: ClusterCostModel,
+    dataset: "DatasetView",
+    sub_id: str,
+    placement: Mapping[int, Any],
+    node: Hashable,
+    bid: int,
+    profile: AppProfile,
+    *,
+    verify: Optional["ReadVerifier"] = None,
+    hedge: Optional["HedgedReader"] = None,
+    when: float = 0.0,
+    replicas: Optional[Sequence[Hashable]] = None,
+    coded: Optional["CodedReader"] = None,
+) -> Tuple[float, List["Record"], int]:
+    """Price one selection task: read + filter + write for one block.
+
+    Returns ``(duration, matched_records, block_bytes)``.  Every selection
+    task is priced here: the engine's, the chaos runner's, the wave
+    checkpoint's and the job-graph builder's.
+
+    Without a reader, the read is a plain replica read: local when
+    ``node`` holds a replica, remote otherwise.
+
+    With a ``verify`` read verifier, the read goes through the
+    checksum-verified path: a rotten local replica costs a remote refetch
+    + in-place repair, and a block with no verified replica raises
+    :class:`~repro.errors.IntegrityError` instead of producing output from
+    corrupt data.  Without corruption the verified cost is identical to
+    the plain one.
+
+    With a ``hedge`` reader, remote reads go through the hedged path
+    instead: the reader picks the healthiest reachable replica at clock
+    ``when`` and races a backup read once its adaptive latency trigger
+    fires (corrupt blocks are delegated to the hedge's wrapped verifier).
+    ``replicas`` overrides the replica set considered for the read — the
+    chaos runner passes only the holders reachable from ``node`` when a
+    partition is active.
+
+    With a ``coded`` reader (an erasure-coded dataset), the read assembles
+    the k fastest fragments, hedges a spare, and degrades through parity —
+    charging decode CPU via
+    :meth:`~repro.mapreduce.costmodel.ClusterCostModel.decode` — when data
+    fragments are rotten or unreachable.  ``verify`` and ``hedge`` are
+    replica-path tools and are ignored for coded reads.
+
+    Raises:
+        JobError: when the block is not part of the dataset placement.
+    """
+    if bid not in placement:
+        raise JobError(
+            f"assignment references unknown block {bid} of dataset {dataset.name!r}"
+        )
+    block = dataset.block(bid)
+    nbytes = block.used_bytes
+    holders = tuple(replicas) if replicas is not None else tuple(placement[bid])
+    read_args = (
+        dataset.name, bid, node, holders, nbytes,
+        cost.read_local, cost.read_remote, cost.write_local,
+    )
+    if coded is not None:
+        read = coded.read_cost(*read_args, when=when, decode=cost.decode)
+    elif hedge is not None:
+        read = hedge.read_cost(*read_args, when=when)
+    elif verify is not None:
+        read = verify.read_cost(*read_args)
+    else:
+        read = cost.read_local(nbytes) if node in holders else cost.read_remote(nbytes)
+    matched = block.filter(sub_id)
+    out_bytes = sum(r.nbytes for r in matched)
+    duration = (
+        cost.task_overhead_s
+        + read
+        + profile.filter_cpu_per_byte * nbytes * cost.data_scale
+        + cost.write_local(out_bytes)
+    )
+    return duration, matched, nbytes

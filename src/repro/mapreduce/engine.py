@@ -1,4 +1,4 @@
-"""The discrete-event MapReduce engine.
+"""The MapReduce engine: runs each job once and times it on the simulator.
 
 Executes the paper's two-phase workflow (Section V-A):
 
@@ -10,8 +10,14 @@ Executes the paper's two-phase workflow (Section V-A):
    Algorithm 1.
 2. **Analysis phase** (:meth:`MapReduceEngine.run_analysis`) — the actual
    MapReduce job (map over each node's filtered records, combine, shuffle,
-   reduce).  Functions execute for real; time advances on per-node
-   simulated clocks from the cost model.
+   reduce).  The user functions execute for real, once per job.
+
+The engine computes no time itself.  Each phase prices its tasks
+(:func:`~repro.mapreduce.costmodel.price_selection`,
+:mod:`repro.sim.adapter`) and runs them on the
+:class:`~repro.sim.simulator.DiscreteEventSimulator` with ``map_slots``
+slots per node; every time below is read off that timeline.  The
+concurrent batch and the analysis service time their jobs the same way.
 
 :meth:`MapReduceEngine.run_job` chains both phases and returns a
 :class:`JobResult` carrying every quantity the paper plots: per-node map
@@ -21,7 +27,6 @@ times (Fig. 6), shuffle min/avg/max (Fig. 7), per-node filtered workload
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -40,30 +45,29 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoids a cycle)
     from ..faults.plan import DriverRestart
     from ..faults.retry import AttemptLog, NodeBlacklist, RetryPolicy
     from ..hdfs.coded import CodedReader
-    from ..hdfs.hedged import HedgedReader
     from ..hdfs.scrubber import ReadVerifier
     from .checkpoint import WaveCheckpoint
 
 from ..core.scheduler import Assignment
-from ..errors import ConfigError, JobError
+from ..errors import ConfigError
 from ..hdfs.cluster import DatasetView, HDFSCluster
 from ..hdfs.records import Record
 from ..obs import NULL_OBS, Observability
-from .costmodel import AppProfile, ClusterCostModel
+from ..sim.adapter import JobGraphBuilder
+from ..sim.simulator import DiscreteEventSimulator
+from ..sim.tasks import SimTask, TaskTimeline
+from .costmodel import AppProfile, ClusterCostModel, price_selection
 from .job import MapReduceJob
-from .shuffle import ShuffleModel, ShuffleResult
 
-__all__ = ["MapReduceEngine", "PhaseResult", "SelectionResult", "JobResult"]
+__all__ = [
+    "MapReduceEngine",
+    "PhaseResult",
+    "SelectionResult",
+    "ShuffleResult",
+    "JobResult",
+]
 
 NodeId = Hashable
-
-#: Serialized framing bytes per intermediate key/value pair.
-KV_OVERHEAD = 8
-
-
-def _kv_bytes(key: Any, value: Any) -> int:
-    """Approximate serialized size of one intermediate pair."""
-    return len(repr(key)) + len(repr(value)) + KV_OVERHEAD
 
 
 @dataclass
@@ -117,6 +121,43 @@ class SelectionResult:
 
 
 @dataclass
+class ShuffleResult:
+    """Per-reducer shuffle timing — the Fig. 7 view.
+
+    Paper Section V-A.3: "The shuffle phase starts whenever a map task is
+    finished and ends when all map tasks have been executed", so each
+    duration is measured from the first map end.
+
+    Attributes:
+        durations: reducer index → seconds from the first map end until
+            its shuffle finished.
+        start_time: simulated time when shuffling began (first map done).
+        end_time: simulated time when the *last* reducer finished fetching.
+        volumes: node → reducer → intermediate bytes the node produced
+            for that reducer.
+    """
+
+    durations: Dict[int, float]
+    start_time: float
+    end_time: float
+    volumes: Dict[NodeId, Dict[int, int]]
+
+    @property
+    def min(self) -> float:
+        return min(self.durations.values()) if self.durations else 0.0
+
+    @property
+    def max(self) -> float:
+        return max(self.durations.values()) if self.durations else 0.0
+
+    @property
+    def mean(self) -> float:
+        if not self.durations:
+            return 0.0
+        return sum(self.durations.values()) / len(self.durations)
+
+
+@dataclass
 class JobResult:
     """Everything the paper measures about one analysis job run."""
 
@@ -145,7 +186,7 @@ class MapReduceEngine:
     Args:
         cluster: the HDFS substrate (topology + replicas).
         cost: hardware cost parameters.
-        map_slots: concurrent map lanes per node (the testbed's nodes had
+        map_slots: concurrent task slots per node (the testbed's nodes had
             2 cores; 1 keeps per-node execution strictly sequential).
     """
 
@@ -162,7 +203,6 @@ class MapReduceEngine:
         self.cluster = cluster
         self.cost = cost or ClusterCostModel()
         self.map_slots = map_slots
-        self.shuffle_model = ShuffleModel(self.cost)
         self.obs = obs
         self._default_coded: Optional["CodedReader"] = None
 
@@ -187,33 +227,12 @@ class MapReduceEngine:
             self._default_coded = CodedReader(self.cluster, obs=self.obs)
         return self._default_coded
 
+    def _simulate(self, tasks: Sequence[SimTask]) -> TaskTimeline:
+        """Run ``tasks`` on ``map_slots`` slots per node."""
+        simulator = DiscreteEventSimulator(slots_per_node=self.map_slots)
+        return simulator.run(tasks, obs=self.obs).timeline
+
     # -- selection phase ----------------------------------------------------------
-
-    def _node_finish(self, task_durations: List[float]) -> float:
-        """Completion time of a task list on ``map_slots`` lanes (LPT order
-        is not used: Hadoop runs tasks in assignment order)."""
-        if not task_durations:
-            return 0.0
-        lanes = [0.0] * min(self.map_slots, len(task_durations))
-        heapq.heapify(lanes)
-        for d in task_durations:
-            t = heapq.heappop(lanes)
-            heapq.heappush(lanes, t + d)
-        return max(lanes)
-
-    def _lane_intervals(self, task_durations: List[float]) -> List[Tuple[float, float]]:
-        """Per-task ``(start, end)`` under the same lane policy as
-        :meth:`_node_finish` — used only to place spans, never for timing."""
-        if not task_durations:
-            return []
-        lanes = [0.0] * min(self.map_slots, len(task_durations))
-        heapq.heapify(lanes)
-        out: List[Tuple[float, float]] = []
-        for d in task_durations:
-            t = heapq.heappop(lanes)
-            out.append((t, t + d))
-            heapq.heappush(lanes, t + d)
-        return out
 
     def selection_task_cost(
         self,
@@ -223,104 +242,27 @@ class MapReduceEngine:
         node: NodeId,
         bid: int,
         profile: AppProfile,
-        verify: Optional["ReadVerifier"] = None,
-        hedge: Optional["HedgedReader"] = None,
-        when: float = 0.0,
-        replicas: Optional[Sequence[NodeId]] = None,
+        *,
         coded: Optional["CodedReader"] = None,
+        **readers: Any,
     ) -> Tuple[float, List[Record], int]:
-        """Price one selection task: read + filter + write for one block.
+        """:func:`~repro.mapreduce.costmodel.price_selection` on this engine's cost model.
 
-        Returns ``(duration, matched_records, block_bytes)``.  Shared by
-        the closed-form phase runner and the chaos runner so fault-free
-        and fault-injected timings come from the same formula.
-
-        With a ``verify`` read verifier, the read component goes through
-        the checksum-verified path: a rotten local replica costs a remote
-        refetch + in-place repair, and a block with no verified replica
-        raises :class:`~repro.errors.IntegrityError` instead of producing
-        output from corrupt data.  Without corruption the verified cost is
-        identical to the plain one.
-
-        With a ``hedge`` reader, remote reads go through the hedged path
-        instead: the reader picks the healthiest reachable replica at
-        clock ``when`` and races a backup read once its adaptive latency
-        trigger fires (corrupt blocks are delegated to the hedge's wrapped
-        verifier).  ``replicas`` overrides the replica set considered for
-        the read — the chaos runner passes only the holders reachable from
-        ``node`` when a partition is active.
-
-        An erasure-coded dataset always routes through a
-        :class:`~repro.hdfs.coded.CodedReader` (``coded`` when given, a
-        lazily-created default otherwise): the read assembles the k fastest
-        fragments, hedges a spare, and degrades through parity — charging
-        decode CPU via :meth:`~repro.mapreduce.costmodel.ClusterCostModel.decode`
-        — when data fragments are rotten or unreachable.  ``verify`` and
-        ``hedge`` are replica-path tools and are ignored for coded data.
-
-        Raises:
-            JobError: when the block is not part of the dataset placement.
+        ``readers`` are its keyword options.  An erasure-coded dataset
+        always reads through a :class:`~repro.hdfs.coded.CodedReader`:
+        ``coded`` when given, a lazily-created default otherwise.
         """
-        if bid not in placement:
-            raise JobError(
-                f"assignment references unknown block {bid} "
-                f"of dataset {dataset.name!r}"
-            )
-        block = dataset.block(bid)
-        nbytes = block.used_bytes
-        holders = tuple(replicas) if replicas is not None else tuple(placement[bid])
-        reader = self._coded_reader(dataset, coded)
-        if reader is not None:
-            read = reader.read_cost(
-                dataset.name,
-                bid,
-                node,
-                holders,
-                nbytes,
-                self.cost.read_local,
-                self.cost.read_remote,
-                self.cost.write_local,
-                when=when,
-                decode=self.cost.decode,
-            )
-        elif hedge is not None:
-            read = hedge.read_cost(
-                dataset.name,
-                bid,
-                node,
-                holders,
-                nbytes,
-                self.cost.read_local,
-                self.cost.read_remote,
-                self.cost.write_local,
-                when=when,
-            )
-        elif verify is not None:
-            read = verify.read_cost(
-                dataset.name,
-                bid,
-                node,
-                holders,
-                nbytes,
-                self.cost.read_local,
-                self.cost.read_remote,
-                self.cost.write_local,
-            )
-        else:
-            read = (
-                self.cost.read_local(nbytes)
-                if node in holders
-                else self.cost.read_remote(nbytes)
-            )
-        matched = block.filter(sub_id)
-        out_bytes = sum(r.nbytes for r in matched)
-        duration = (
-            self.cost.task_overhead_s
-            + read
-            + profile.filter_cpu_per_byte * nbytes * self.cost.data_scale
-            + self.cost.write_local(out_bytes)
+        return price_selection(
+            self.cost,
+            dataset,
+            sub_id,
+            placement,
+            node,
+            bid,
+            profile,
+            coded=self._coded_reader(dataset, coded),
+            **readers,
         )
-        return duration, matched, nbytes
 
     def run_selection(
         self,
@@ -328,108 +270,59 @@ class MapReduceEngine:
         sub_id: str,
         assignment: Assignment,
         profile: AppProfile,
-        *,
-        injector: Optional["FaultInjector"] = None,
-        retry: Optional["RetryPolicy"] = None,
-        attempt_log: Optional["AttemptLog"] = None,
-        blacklist: Optional["NodeBlacklist"] = None,
-        verify: Optional["ReadVerifier"] = None,
-        coded: Optional["CodedReader"] = None,
     ) -> SelectionResult:
         """Run the filter phase under a given block-task assignment.
 
         Every assigned block is read (locally if the node holds a replica,
         remotely otherwise), filtered for ``sub_id``, and the matching
-        records are written to the executing node's local store.
-
-        With an ``injector`` (see :mod:`repro.faults`), every task runs
-        through the attempt lifecycle instead of exactly once: transient
-        failures burn partial work, back off exponentially, and retry up
-        to ``retry.max_attempts``; slow-node degradations stretch
-        durations.  Node *crashes* need cross-node rescheduling and are
-        handled one level up by :class:`repro.faults.ChaosRunner`.
+        records are written to the executing node's local store.  Each
+        node runs its blocks in assignment order on ``map_slots`` slots.
 
         Raises:
-            TaskAttemptError: a task exhausted its retry budget.
+            JobError: the assignment names a block the dataset lacks.
         """
-        faulty = injector is not None
-        if faulty:
-            from ..faults.retry import AttemptLog, NodeBlacklist, RetryPolicy, run_attempts
-
-            retry = retry or RetryPolicy()
-            attempt_log = attempt_log if attempt_log is not None else AttemptLog()
-            blacklist = (
-                blacklist
-                if blacklist is not None
-                else NodeBlacklist(retry.blacklist_after)
-            )
         placement = dataset.placement()
+        # The simulator starts a node's ready tasks in id order, so
+        # zero-padded sequence numbers keep each node's assignment order.
+        width = len(str(assignment.num_tasks))
+        tasks: List[SimTask] = []
         local_data: Dict[NodeId, List[Record]] = {}
-        node_times: Dict[NodeId, float] = {}
         bytes_per_node: Dict[NodeId, int] = {}
-        blocks_read = 0
         bytes_read = 0
-        traced = self.obs.tracer.enabled
         with self.obs.tracer.span(
             f"selection/{sub_id}", category="phase", sim_start=0.0, dataset=dataset.name
         ) as phase:
             for node, block_ids in assignment.blocks_by_node.items():
-                durations: List[float] = []
                 filtered: List[Record] = []
-                node_elapsed = 0.0
                 for bid in block_ids:
-                    base, matched, nbytes = self.selection_task_cost(
-                        dataset,
-                        sub_id,
-                        placement,
-                        node,
-                        bid,
-                        profile,
-                        verify=verify,
-                        coded=coded,
-                        when=node_elapsed,
+                    duration, matched, nbytes = self.selection_task_cost(
+                        dataset, sub_id, placement, node, bid, profile
                     )
-                    blocks_read += 1
-                    bytes_read += nbytes
-                    if faulty:
-                        elapsed, _attempts = run_attempts(
-                            base,
-                            node,
-                            f"sel/{dataset.name}/{bid}",
-                            injector,
-                            retry,
-                            attempt_log,
-                            blacklist,
-                            start_time=node_elapsed,
-                            obs=self.obs,
+                    tasks.append(
+                        SimTask(
+                            task_id=f"sel/{len(tasks):0{width}d}/{bid}",
+                            node=node,
+                            duration=duration,
+                            kind="selection",
                         )
-                        durations.append(elapsed)
-                        node_elapsed += elapsed
-                    else:
-                        durations.append(base)
+                    )
+                    bytes_read += nbytes
                     filtered.extend(matched)
                 local_data[node] = filtered
                 bytes_per_node[node] = sum(r.nbytes for r in filtered)
-                node_times[node] = self._node_finish(durations)
-                if traced and not faulty:
-                    for bid, (start, end) in zip(
-                        block_ids, self._lane_intervals(durations)
-                    ):
-                        self.obs.tracer.record(
-                            f"sel/{dataset.name}/{bid}",
-                            category="task",
-                            sim_start=start,
-                            sim_end=end,
-                            track=f"node {node}",
-                            kind="selection",
-                        )
+            timeline = self._simulate(tasks)
+            node_times = dict.fromkeys(local_data, 0.0)
+            for task in tasks:
+                node_times[task.node] = max(
+                    node_times[task.node], timeline.end_of(task.task_id)
+                )
             phase.sim(0.0, max(node_times.values(), default=0.0))
         if self.obs.metrics.enabled:
             m = self.obs.metrics
             m.counter(
                 "selection_blocks_scanned_total",
                 help="blocks read during selection phases",
-            ).inc(blocks_read)
+            ).inc(len(tasks))
             m.counter(
                 "selection_bytes_read_total",
                 help="raw bytes read off disk/network during selection",
@@ -445,7 +338,7 @@ class MapReduceEngine:
             local_data=local_data,
             timing=PhaseResult(node_times),
             bytes_per_node=bytes_per_node,
-            blocks_read=blocks_read,
+            blocks_read=len(tasks),
             bytes_read=bytes_read,
         )
 
@@ -498,155 +391,76 @@ class MapReduceEngine:
     ) -> JobResult:
         """Run the MapReduce job over per-node filtered data.
 
-        Map functions execute over each node's records (results are real);
-        the per-node map *time* comes from the cost model over that node's
-        filtered bytes — the quantity DataNet balanced (or didn't).
+        :meth:`~repro.sim.adapter.JobGraphBuilder.add_analysis` runs the
+        mappers and combiners and prices the map/shuffle/reduce/cleanup
+        tasks; they are simulated released at ``start_time``.  The
+        reducers then run on the combined pairs for the output.
 
         With ``colocate_reducers``, reduce tasks are placed on the nodes
         already holding the largest share of their partitions
-        (:func:`repro.core.aggregation.plan_greedy`), so those bytes skip
-        the shuffle network — the paper's future-work transfer
-        optimization, wired end to end.
+        (:func:`repro.core.aggregation.plan_greedy`, at most ``map_slots``
+        per node), so those bytes skip the shuffle network — the paper's
+        future-work transfer optimization, wired end to end.
+
+        Raises:
+            JobError: ``local_data`` names no node.
         """
         with self.obs.tracer.span(
             f"analysis/{job.name}", category="phase", sim_start=start_time
         ) as phase:
-            result = self._run_analysis_inner(
+            builder = JobGraphBuilder(self.cost)
+            graph = builder.add_analysis(
+                job.name,
                 job,
                 local_data,
-                start_time=start_time,
-                colocate_reducers=colocate_reducers,
+                release_time=start_time,
+                colocate_per_node=self.map_slots if colocate_reducers else None,
             )
-            phase.sim(start_time, result.total_time)
-        return result
-
-    def _run_analysis_inner(
-        self,
-        job: MapReduceJob,
-        local_data: Mapping[NodeId, List[Record]],
-        *,
-        start_time: float,
-        colocate_reducers: bool,
-    ) -> JobResult:
-        traced = self.obs.tracer.enabled
-        map_times: Dict[NodeId, float] = {}
-        map_finish: Dict[NodeId, float] = {}
-        # reducer -> key -> list of values
-        partitions: Dict[int, Dict[Any, List[Any]]] = {
-            r: {} for r in range(job.num_reducers)
-        }
-        partition_bytes: Dict[int, int] = {r: 0 for r in range(job.num_reducers)}
-        # node -> reducer -> intermediate bytes produced there
-        volumes: Dict[NodeId, Dict[int, int]] = {}
-
-        for node, records in local_data.items():
-            nbytes = sum(r.nbytes for r in records)
-            # execute map for real
-            emitted: Dict[Any, List[Any]] = {}
-            for record in records:
-                for k, v in job.run_mapper(record):
-                    emitted.setdefault(k, []).append(v)
-            # per-node combiner
-            combined: List[Tuple[Any, Any]] = []
-            for k, values in emitted.items():
-                combined.extend(job.run_combiner(k, values))
-            node_volumes = volumes.setdefault(node, {})
-            for k, v in combined:
-                r = job.partition(k)
-                partitions[r].setdefault(k, []).append(v)
-                size = _kv_bytes(k, v)
-                partition_bytes[r] += size
-                node_volumes[r] = node_volumes.get(r, 0) + size
-            scale = self.cost.data_scale
-            duration = (
-                self.cost.task_overhead_s
-                + self.cost.read_local(nbytes)
-                + job.profile.map_cpu_seconds(nbytes * scale, len(records) * scale)
+            timeline = self._simulate(builder.tasks)
+            map_times: Dict[NodeId, float] = {}
+            for node in local_data:
+                start, end = timeline.intervals[graph.maps[node]]
+                map_times[node] = end - start
+            reduce_times: Dict[int, float] = {}
+            for r, tid in graph.reduces.items():
+                start, end = timeline.intervals[tid]
+                reduce_times[r] = end - start
+            first_map_end = min(timeline.end_of(tid) for tid in graph.maps.values())
+            shuffle_ends = {r: timeline.end_of(tid) for r, tid in graph.shuffles.items()}
+            shuffle = ShuffleResult(
+                durations={r: end - first_map_end for r, end in shuffle_ends.items()},
+                start_time=first_map_end,
+                end_time=max(shuffle_ends.values()),
+                volumes=graph.volumes,
             )
-            map_times[node] = duration
-            map_finish[node] = start_time + duration
-            if traced:
-                self.obs.tracer.record(
-                    f"map/{node}",
-                    category="task",
-                    sim_start=start_time,
-                    sim_end=start_time + duration,
-                    track=f"node {node}",
-                    kind="map",
-                    input_bytes=nbytes,
-                )
-
-        if not map_finish:
-            raise JobError("analysis phase received no input partitions")
-
-        colocated: Optional[Dict[int, int]] = None
-        if colocate_reducers and any(parts for parts in volumes.values()):
-            from ..core.aggregation import plan_greedy
-
-            plan = plan_greedy(volumes)
-            colocated = {
-                r: volumes.get(host, {}).get(r, 0)
-                for r, host in plan.placement.items()
-            }
-        shuffle = self.shuffle_model.run(
-            map_finish, partition_bytes, colocated_bytes=colocated
-        )
-        if traced:
-            self.obs.tracer.record(
-                f"shuffle/{job.name}",
-                category="shuffle",
-                sim_start=shuffle.start_time,
-                sim_end=shuffle.end_time,
-                bytes=sum(partition_bytes.values()),
-            )
-
-        # reduce: real execution + modeled time
-        output: Dict[Any, Any] = {}
-        reduce_times: Dict[int, float] = {}
-        for r in range(job.num_reducers):
-            out_bytes = 0
-            for k, values in partitions[r].items():
-                for ok, ov in job.run_reducer(k, values):
-                    output[ok] = ov
-                    out_bytes += _kv_bytes(ok, ov)
-            reduce_times[r] = (
-                self.cost.task_overhead_s
-                + job.profile.reduce_cost_per_byte
-                * partition_bytes[r]
-                * self.cost.data_scale
-                + self.cost.write_local(out_bytes)
-            )
-            if traced:
-                self.obs.tracer.record(
-                    f"reduce/{r}",
-                    category="task",
-                    sim_start=shuffle.end_time,
-                    sim_end=shuffle.end_time + reduce_times[r],
-                    track=f"reducer {r}",
-                    kind="reduce",
-                    partition_bytes=partition_bytes[r],
-                )
+            # group the combined pairs in local_data order: reducers that
+            # sum floats are sensitive to the order of their values
+            partitions: List[Dict[Any, List[Any]]] = [{} for _ in range(job.num_reducers)]
+            for node in local_data:
+                for group, pairs in zip(partitions, graph.pairs[node]):
+                    for k, v in pairs:
+                        group.setdefault(k, []).append(v)
+            output: Dict[Any, Any] = {}
+            for group in partitions:
+                for k, values in group.items():
+                    for ok, ov in job.run_reducer(k, values):
+                        output[ok] = ov
+            phase.sim(start_time, timeline.makespan)
         if self.obs.metrics.enabled:
             shuffled = self.obs.metrics.counter(
                 "shuffle_bytes_total",
                 help="intermediate bytes produced per mapper node",
                 labelnames=("node",),
             )
-            for node, per_reducer in volumes.items():
+            for node, per_reducer in graph.volumes.items():
                 shuffled.inc(sum(per_reducer.values()), node=str(node))
-
-        total = (
-            self.cost.job_overhead_s
-            + shuffle.end_time
-            + max(reduce_times.values(), default=0.0)
-        )
         return JobResult(
             job_name=job.name,
             output=output,
             map_times=map_times,
             shuffle=shuffle,
             reduce_times=reduce_times,
-            total_time=total,
+            total_time=timeline.makespan,
         )
 
     # -- full pipeline ------------------------------------------------------------------

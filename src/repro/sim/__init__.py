@@ -1,23 +1,21 @@
 """Discrete-event cluster simulator.
 
-The analytical engine (:mod:`repro.mapreduce.engine`) computes phase times
-in closed form — fast and exact for synchronized phases, but unable to
-express task-level interleavings: multiple jobs sharing the cluster, slot
-contention, or speculative copies racing originals.  This package provides
-a true event-driven simulator for those questions:
+The one time model of the repository: every job time — the engine's
+(:mod:`repro.mapreduce.engine`), the concurrent batch's and the analysis
+service's — comes from an event-driven simulation of priced tasks, so
+task-level interleavings (jobs sharing the cluster, slot contention,
+speculative copies racing originals) follow the same rules as a single
+job:
 
 - :mod:`repro.sim.tasks` — tasks with durations, fixed node assignments
   and dependency edges.
 - :mod:`repro.sim.simulator` — the event loop: per-node slot pools, FIFO
   ready queues, dependency release on completion.
-- :mod:`repro.sim.adapter` — builds task graphs from MapReduce job runs
-  (selection → map → shuffle → reduce), so a whole multi-job workload can
-  be replayed event by event.
+- :mod:`repro.sim.adapter` — prices tasks and builds task graphs from
+  MapReduce jobs (selection → map → shuffle → reduce), so a whole
+  multi-job workload can be replayed event by event.
+- :mod:`repro.sim.speculation` — backup copies of straggling tasks.
 - :mod:`repro.sim.gantt` — text timelines of the simulated schedule.
-
-The single-job simulator agrees with the analytical engine's makespans
-(validated in ``tests/test_sim.py``); its value is everything the closed
-form cannot do.
 """
 
 from .tasks import SimTask, TaskTimeline

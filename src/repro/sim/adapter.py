@@ -1,19 +1,29 @@
 """Build simulator task graphs from MapReduce workloads.
 
-Reuses the exact duration formulas of the analytical engine
-(:mod:`repro.mapreduce.engine`) so a single job's simulated timeline
-reproduces the engine's phase arithmetic, while the event loop adds what
-the closed form cannot express: slot contention between jobs that share
-the cluster.
+This module prices the tasks of a job; the event loop
+(:mod:`repro.sim.simulator`) turns the priced tasks into a timeline.  The
+engine (:mod:`repro.mapreduce.engine`), the analysis service and the
+concurrent batch all time their jobs this way, so a single job, a batch
+and the service follow the same rules, and the event loop adds slot
+contention wherever tasks share a node.
 
 Graph shape per analysis job (classic Hadoop):
 
-- one **selection** task per assigned block (no deps);
+- one **selection** task per assigned block (no deps), priced by
+  :func:`~repro.mapreduce.costmodel.price_selection`;
 - one **map** task per node holding filtered data, depending on *all*
-  selection tasks (the phase barrier the engine models);
-- one **shuffle** task per reducer, depending on all maps; its duration
-  folds the engine's straggler-vs-fetch rule so single-job timings agree;
-- one **reduce** task per reducer, depending on its shuffle;
+  selection tasks (the phase barrier between the paper's two jobs).  The
+  mappers and combiners run for real here, once per job; their combined
+  pairs size the partitions and feed the reducers;
+- one **shuffle** task per reducer, depending on all maps.  Paper
+  Section V-A.3: "The shuffle phase starts whenever a map task is
+  finished and ends when all map tasks have been executed", so reducer
+  ``r``'s shuffle ends at ``first_map_end + max(straggler, fetch_r) +
+  merge_r``, where ``straggler = last_map_end - first_map_end``.  The
+  task starts at the last map end, so its duration is
+  ``max(0, fetch_r - straggler) + merge_r``.  Under imbalance every
+  reducer waits for the straggler; under balance the fetch dominates;
+- one **reduce** task per reducer, depending on its own shuffle;
 - one **cleanup** task (the per-job overhead), depending on all reduces.
 """
 
@@ -22,19 +32,50 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.aggregation import plan_greedy
 from ..core.scheduler import Assignment
-from ..errors import ConfigError
+from ..errors import JobError
 from ..hdfs.cluster import DatasetView
 from ..hdfs.records import Record
-from ..mapreduce.costmodel import AppProfile, ClusterCostModel
-from ..mapreduce.engine import KV_OVERHEAD, _kv_bytes
+from ..mapreduce.costmodel import AppProfile, ClusterCostModel, price_selection
 from ..mapreduce.job import MapReduceJob
-from ..mapreduce.shuffle import MERGE_COST_PER_BYTE
 from .tasks import SimTask
 
-__all__ = ["JobGraphBuilder", "build_job_graph"]
+__all__ = ["AnalysisTasks", "JobGraphBuilder", "build_job_graph"]
 
 NodeId = Hashable
+
+#: Serialized framing bytes per intermediate key/value pair.
+KV_OVERHEAD = 8
+
+#: Merge/spill cost per shuffled byte (sort-merge on the reducer side).
+MERGE_COST_PER_BYTE = 1.5e-8
+
+
+def _kv_bytes(key: Any, value: Any) -> int:
+    """Approximate serialized size of one intermediate pair."""
+    return len(repr(key)) + len(repr(value)) + KV_OVERHEAD
+
+
+@dataclass
+class AnalysisTasks:
+    """One job's analysis tasks, as added by :meth:`JobGraphBuilder.add_analysis`.
+
+    Attributes:
+        maps: node → its map task id, in sorted node order.
+        shuffles: reducer → its shuffle task id.
+        reduces: reducer → its reduce task id.
+        pairs: node → one list per reducer of the node's combined pairs
+            bound for it, in combiner order.
+        volumes: node → reducer → serialized bytes of those pairs, for
+            the reducers that get any.
+    """
+
+    maps: Dict[NodeId, str]
+    shuffles: Dict[int, str]
+    reduces: Dict[int, str]
+    pairs: Dict[NodeId, List[List[Tuple[Any, Any]]]]
+    volumes: Dict[NodeId, Dict[int, int]]
 
 
 @dataclass
@@ -42,8 +83,7 @@ class JobGraphBuilder:
     """Accumulates tasks for one or many jobs over a shared cluster.
 
     Args:
-        cost: the cost model pricing every task (same object the engine
-            uses, so durations line up).
+        cost: the cost model pricing every task.
     """
 
     cost: ClusterCostModel
@@ -59,32 +99,19 @@ class JobGraphBuilder:
         assignment: Assignment,
         profile: AppProfile,
     ) -> Tuple[List[str], Dict[NodeId, List[Record]]]:
-        """One task per assigned block; returns (task ids, filtered data)."""
+        """One task per assigned block; returns (task ids, filtered data).
+
+        Raises:
+            JobError: when the assignment names a block the dataset lacks.
+        """
         placement = dataset.placement()
         task_ids: List[str] = []
         local_data: Dict[NodeId, List[Record]] = {}
         for node, block_ids in assignment.blocks_by_node.items():
             filtered: List[Record] = []
             for bid in block_ids:
-                if bid not in placement:
-                    raise ConfigError(
-                        f"assignment references unknown block {bid}"
-                    )
-                block = dataset.block(bid)
-                read = (
-                    self.cost.read_local(block.used_bytes)
-                    if node in placement[bid]
-                    else self.cost.read_remote(block.used_bytes)
-                )
-                matched = block.filter(sub_id)
-                out_bytes = sum(r.nbytes for r in matched)
-                duration = (
-                    self.cost.task_overhead_s
-                    + read
-                    + profile.filter_cpu_per_byte
-                    * block.used_bytes
-                    * self.cost.data_scale
-                    + self.cost.write_local(out_bytes)
+                duration, matched, _nbytes = price_selection(
+                    self.cost, dataset, sub_id, placement, node, bid, profile
                 )
                 task_id = f"{label}/sel/{bid}"
                 self.tasks.append(
@@ -112,29 +139,40 @@ class JobGraphBuilder:
         deps: Sequence[str] = (),
         reducer_nodes: Optional[Sequence[NodeId]] = None,
         release_time: float = 0.0,
-    ) -> List[str]:
+        colocate_per_node: Optional[int] = None,
+    ) -> AnalysisTasks:
         """Map/shuffle/reduce/cleanup tasks for one analysis job.
 
         Args:
             label: job label (task-id prefix).
-            job: the MapReduce job (functions execute to size partitions).
+            job: the MapReduce job; its mappers and combiners run here.
             local_data: per-node filtered input (from :meth:`add_selection`).
             deps: task ids every map task must wait for (phase barrier).
             reducer_nodes: hosts for reduce tasks; defaults to round-robin
                 over the data-holding nodes.
             release_time: job submission time.
+            colocate_per_node: when set, reducers holding data are placed
+                on the nodes that already hold most of their partition
+                (:func:`repro.core.aggregation.plan_greedy`, at most this
+                many per node), and those co-located bytes skip the
+                network — the paper's future-work transfer optimization.
 
-        Returns all created task ids.
+        Raises:
+            JobError: when ``local_data`` names no node.
+            ConfigError: when more reducers hold data than
+                ``colocate_per_node`` times the number of nodes.
         """
         scale = self.cost.data_scale
         dep_set = frozenset(deps)
-        map_ids: List[str] = []
-        map_durations: List[float] = []
-        partition_bytes: Dict[int, int] = {r: 0 for r in range(job.num_reducers)}
-
         nodes = sorted(local_data.keys(), key=repr)
         if not nodes:
-            raise ConfigError("analysis requires at least one input node")
+            raise JobError("analysis phase received no input partitions")
+        reducers = range(job.num_reducers)
+        maps: Dict[NodeId, str] = {}
+        map_durations: List[float] = []
+        pairs: Dict[NodeId, List[List[Tuple[Any, Any]]]] = {}
+        volumes: Dict[NodeId, Dict[int, int]] = {}
+        partition_bytes = [0] * job.num_reducers
         for node in nodes:
             records = local_data[node]
             nbytes = sum(r.nbytes for r in records)
@@ -142,9 +180,16 @@ class JobGraphBuilder:
             for record in records:
                 for k, v in job.run_mapper(record):
                     emitted.setdefault(k, []).append(v)
+            node_pairs = pairs[node] = [[] for _ in reducers]
+            sizes = [0] * job.num_reducers
             for k, values in emitted.items():
                 for ck, cv in job.run_combiner(k, values):
-                    partition_bytes[job.partition(ck)] += _kv_bytes(ck, cv)
+                    r = job.partition(ck)
+                    node_pairs[r].append((ck, cv))
+                    sizes[r] += _kv_bytes(ck, cv)
+            volumes[node] = {r: size for r, size in enumerate(sizes) if size}
+            for r in reducers:
+                partition_bytes[r] += sizes[r]
             duration = (
                 self.cost.task_overhead_s
                 + self.cost.read_local(nbytes)
@@ -162,23 +207,28 @@ class JobGraphBuilder:
                     release_time=release_time,
                 )
             )
-            map_ids.append(task_id)
+            maps[node] = task_id
             map_durations.append(duration)
 
-        # engine-equivalent shuffle durations: shuffles dep on all maps, so
-        # they start at the LAST map; the engine starts them at the FIRST.
-        # Folding the difference into the duration keeps end times equal:
-        #   engine_end = first + max(straggler, fetch) + merge
-        #             = last + max(0, fetch - straggler) + merge
-        straggler = max(map_durations) - min(map_durations)
         hosts = list(reducer_nodes) if reducer_nodes is not None else nodes
-        all_map_deps = frozenset(map_ids)
-        created = list(map_ids)
-        for r in range(job.num_reducers):
-            host = hosts[r % len(hosts)]
-            fetch = self.cost.transfer(partition_bytes[r])
+        host_of = {r: hosts[r % len(hosts)] for r in reducers}
+        colocated: Dict[int, int] = {}
+        if colocate_per_node is not None and any(volumes.values()):
+            plan = plan_greedy(volumes, max_reducers_per_node=colocate_per_node)
+            host_of.update(plan.placement)
+            colocated = {r: volumes[host].get(r, 0) for r, host in plan.placement.items()}
+
+        # the straggler wait from map durations: exact when the maps start
+        # together, as they do in a job that has the cluster to itself
+        straggler = max(map_durations) - min(map_durations)
+        all_map_deps = frozenset(maps.values())
+        shuffles: Dict[int, str] = {}
+        reduces: Dict[int, str] = {}
+        for r in reducers:
+            host = host_of[r]
+            fetch = self.cost.transfer(partition_bytes[r] - colocated.get(r, 0))
             merge = MERGE_COST_PER_BYTE * partition_bytes[r] * scale
-            shuffle_id = f"{label}/shuf/{r}"
+            shuffle_id = shuffles[r] = f"{label}/shuf/{r}"
             self.tasks.append(
                 SimTask(
                     task_id=shuffle_id,
@@ -189,10 +239,9 @@ class JobGraphBuilder:
                     job=label,
                 )
             )
-            reduce_id = f"{label}/red/{r}"
+            reduce_id = reduces[r] = f"{label}/red/{r}"
             # reduce output bytes approximated by the partition's
-            # post-combine volume (exact output needs the reducer run; the
-            # engine's write term is small either way)
+            # post-combine volume, so the task is priced before it runs
             out_bytes = int(partition_bytes[r] * 0.5) + KV_OVERHEAD
             self.tasks.append(
                 SimTask(
@@ -210,23 +259,20 @@ class JobGraphBuilder:
                     job=label,
                 )
             )
-            created.extend((shuffle_id, reduce_id))
 
-        cleanup_id = f"{label}/cleanup"
         self.tasks.append(
             SimTask(
-                task_id=cleanup_id,
+                task_id=f"{label}/cleanup",
                 node=hosts[0],
                 duration=self.cost.job_overhead_s,
-                deps=frozenset(
-                    f"{label}/red/{r}" for r in range(job.num_reducers)
-                ),
+                deps=frozenset(reduces.values()),
                 kind="cleanup",
                 job=label,
             )
         )
-        created.append(cleanup_id)
-        return created
+        return AnalysisTasks(
+            maps=maps, shuffles=shuffles, reduces=reduces, pairs=pairs, volumes=volumes
+        )
 
 
 def build_job_graph(

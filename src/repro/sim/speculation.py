@@ -1,17 +1,17 @@
 """Dynamic speculative execution inside the event-driven simulator.
 
-The analytic model (:mod:`repro.mapreduce.speculative`) approximates
-Hadoop's backup-task policy with closed-form timings.  This module runs it
-*dynamically*: after simulating a task set once, stragglers are detected
-against their phase's median runtime, backup copies are injected on the
-least-loaded nodes, and the simulation is re-run with
-``min(original, backup)`` race semantics resolved by an extra
-post-processing pass.
+Hadoop launches *backup* copies of tasks that run much slower than their
+siblings; the task completes when either copy finishes.  This module runs
+that policy on the simulator: after simulating a task set once,
+stragglers are detected against their phase's median runtime, backup
+copies are injected on the least-loaded nodes, and the simulation is
+re-run with ``min(original, backup)`` race semantics resolved by an extra
+post-processing pass.  The rerun accounts for the slot contention the
+backups themselves cause.
 
-The two models agree on the qualitative conclusion (backups cannot undo
-data imbalance — they reprocess the same oversized input) but the dynamic
-version also accounts for slot contention caused by the backups
-themselves, which the closed form ignores.
+Backups help an *anomalous* straggler (slow disk, hot node).  A straggler
+that is slow because it holds more data gains little: the backup must
+reprocess the same oversized input (the speculation ablation).
 """
 
 from __future__ import annotations

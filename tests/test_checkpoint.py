@@ -115,7 +115,7 @@ class TestInterruptAndResume:
     def test_resume_under_transients_draws_same_coins(self):
         _c, dataset, assignment, engine, profile = _setup()
         plan = FaultPlan(seed=9, transient=TransientFaults(0.2))
-        straight = engine.run_selection(
+        straight, _cp0, _w0 = engine.run_selection_checkpointed(
             dataset, "hot", assignment, profile, injector=FaultInjector(plan)
         )
         _n, cp, _w = engine.run_selection_checkpointed(
@@ -135,6 +135,7 @@ class TestInterruptAndResume:
             injector=FaultInjector(plan),
         )
         assert resumed.local_data == straight.local_data
+        assert resumed.bytes_per_node == straight.bytes_per_node
 
 
 class TestSerialization:

@@ -1,18 +1,13 @@
-"""Tests for the discrete-event MapReduce engine and shuffle model."""
+"""Tests for the MapReduce engine and the shuffle timing it reports."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import DataNet, HDFSCluster
+from repro import DataNet, HDFSCluster, Record
 from repro.errors import ConfigError, JobError
-from repro.mapreduce import (
-    ClusterCostModel,
-    LocalityScheduler,
-    MapReduceEngine,
-    ShuffleModel,
-)
+from repro.mapreduce import ClusterCostModel, LocalityScheduler, MapReduceEngine
 from repro.mapreduce.apps import tokenize, top_k_search_job, word_count_job
 from tests.conftest import make_records
 
@@ -161,36 +156,51 @@ class TestAnalysisPhase:
 
 
 class TestShuffleModel:
-    def test_straggler_dominates_when_maps_imbalanced(self):
-        model = ShuffleModel(ClusterCostModel())
-        res = model.run({0: 10.0, 1: 50.0}, {0: 1000})
-        assert res.durations[0] >= 40.0  # waits for the straggler
-        assert res.start_time == 10.0
+    """The shuffle timing the engine reads off the simulated timeline."""
 
-    def test_fetch_dominates_when_maps_balanced(self):
+    @staticmethod
+    def _records(n):
+        return [Record("hot", float(i), f"w{i % 17} w{i % 5} common") for i in range(n)]
+
+    def test_straggler_dominates_when_maps_imbalanced(self, small_cluster):
+        engine = MapReduceEngine(small_cluster, ClusterCostModel(data_scale=64.0))
+        recs = self._records(400)
+        res = engine.run_analysis(word_count_job(num_reducers=1), {0: recs[:10], 1: recs})
+        straggler = max(res.map_times.values()) - min(res.map_times.values())
+        assert straggler > 0.0
+        assert res.shuffle.start_time == min(res.map_times.values())
+        assert res.shuffle.durations[0] >= straggler  # waits for the straggler
+
+    def test_fetch_dominates_when_maps_balanced(self, small_cluster):
         cost = ClusterCostModel(network_bps=1e6)
-        model = ShuffleModel(cost)
-        res = model.run({0: 10.0, 1: 10.0}, {0: 5_000_000})
-        assert res.durations[0] == pytest.approx(
-            5.0 + 1.5e-8 * 5_000_000, rel=0.01
+        engine = MapReduceEngine(small_cluster, cost)
+        recs = self._records(200)
+        res = engine.run_analysis(word_count_job(num_reducers=1), {0: recs, 1: list(recs)})
+        assert len(set(res.map_times.values())) == 1  # no straggler
+        partition = sum(v.get(0, 0) for v in res.shuffle.volumes.values())
+        assert res.shuffle.durations[0] == pytest.approx(
+            cost.transfer(partition) + 1.5e-8 * partition, rel=1e-9
         )
 
-    def test_min_max_mean(self):
-        model = ShuffleModel(ClusterCostModel())
-        res = model.run({0: 0.0, 1: 4.0}, {0: 0, 1: 10**9})
-        assert res.min <= res.mean <= res.max
+    def test_min_max_mean(self, small_cluster):
+        engine = MapReduceEngine(small_cluster)
+        recs = self._records(300)
+        res = engine.run_analysis(
+            word_count_job(num_reducers=4), {0: recs[:50], 1: recs[50:], 2: recs[:7]}
+        )
+        assert res.shuffle.min <= res.shuffle.mean <= res.shuffle.max
 
-    def test_empty_map_times_raises(self):
-        model = ShuffleModel(ClusterCostModel())
-        with pytest.raises(ConfigError):
-            model.run({}, {0: 100})
+    def test_empty_map_times_raises(self, small_cluster):
+        with pytest.raises(JobError):
+            MapReduceEngine(small_cluster).run_analysis(word_count_job(), {})
 
-    def test_negative_partition_rejected(self):
-        model = ShuffleModel(ClusterCostModel())
-        with pytest.raises(ConfigError):
-            model.run({0: 1.0}, {0: -5})
-
-    def test_end_time_covers_all_reducers(self):
-        model = ShuffleModel(ClusterCostModel())
-        res = model.run({0: 5.0, 1: 9.0}, {0: 100, 1: 200})
-        assert res.end_time >= max(res.start_time + d for d in res.durations.values())
+    def test_end_time_covers_all_reducers(self, small_cluster):
+        engine = MapReduceEngine(small_cluster)
+        recs = self._records(300)
+        res = engine.run_analysis(
+            word_count_job(num_reducers=4), {0: recs[:100], 1: recs[100:], 2: recs[:3]}
+        )
+        ends = [res.shuffle.start_time + d for d in res.shuffle.durations.values()]
+        assert len(ends) == 4
+        assert res.shuffle.end_time == pytest.approx(max(ends), rel=1e-12)
+        assert res.total_time >= res.shuffle.end_time + engine.cost.job_overhead_s

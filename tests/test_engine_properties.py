@@ -2,10 +2,13 @@
 
 These cross-check the layers against each other on randomized inputs:
 conservation (no record gained or lost anywhere), scheduling-independence
-of outputs, and monotonicity of simulated time in the cost knobs.
+of outputs, monotonicity of simulated time in the cost knobs, and the one
+time model (the engine's times are the simulator's).
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from repro import DataNet, HDFSCluster, Record
 from repro.core.bucketizer import BucketSpec
 from repro.mapreduce import ClusterCostModel, LocalityScheduler, MapReduceEngine
 from repro.mapreduce.apps import tokenize, word_count_job
+from repro.sim import DiscreteEventSimulator, JobGraphBuilder, SimTask
 
 
 def _random_environment(seed: int, num_subdatasets: int, records_per: int):
@@ -124,3 +128,55 @@ class TestTimeModelMonotonicity:
             truth = dataset.subdataset_bytes_per_block(target)
             slack = max(truth.values(), default=0) * 32.0 * 3e-7 + 0.2
             assert map_aware <= map_stock + slack, f"seed {seed}"
+
+
+def _lane_finish(durations, slots):
+    """Reference: tasks start in order, each on the lane that frees first."""
+    lanes = [0.0] * min(slots, len(durations))
+    for d in durations:
+        heapq.heappush(lanes, heapq.heappop(lanes) + d)
+    return max(lanes, default=0.0)
+
+
+class TestOneTimeModel:
+    @given(st.integers(0, 10**6), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=12, deadline=None)
+    def test_property_selection_matches_lane_reference(self, seed, slots):
+        cluster, dataset, datanet, _e, _r = _random_environment(seed, 3, 40)
+        engine = MapReduceEngine(cluster, ClusterCostModel(data_scale=32.0), map_slots=slots)
+        assignment = datanet.schedule("s0", skip_absent=False)
+        prof = word_count_job().profile
+        sel = engine.run_selection(dataset, "s0", assignment, prof)
+        placement = dataset.placement()
+        for node, blocks in assignment.blocks_by_node.items():
+            durations = [
+                engine.selection_task_cost(dataset, "s0", placement, node, b, prof)[0]
+                for b in blocks
+            ]
+            assert sel.timing.node_times[node] == _lane_finish(durations, slots)
+
+    @given(st.integers(0, 10**6), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=12, deadline=None)
+    def test_property_job_time_is_simulated_makespan(self, seed, slots):
+        """Chaining the phases equals one simulation of all the job's
+        tasks with the selection → analysis barrier."""
+        cluster, dataset, datanet, _e, _r = _random_environment(seed, 3, 40)
+        engine = MapReduceEngine(cluster, ClusterCostModel(data_scale=32.0), map_slots=slots)
+        assignment = datanet.schedule("s0", skip_absent=False)
+        job = word_count_job()
+        result = engine.run_job(dataset, "s0", job, assignment)
+
+        builder = JobGraphBuilder(engine.cost)
+        placement = dataset.placement()
+        for node, blocks in assignment.blocks_by_node.items():
+            for b in blocks:
+                duration = engine.selection_task_cost(
+                    dataset, "s0", placement, node, b, job.profile
+                )[0]
+                builder.tasks.append(
+                    SimTask(f"sel/{len(builder.tasks):06d}", node, duration)
+                )
+        sel_ids = [t.task_id for t in builder.tasks]
+        builder.add_analysis(job.name, job, result.selection.local_data, deps=sel_ids)
+        sim = DiscreteEventSimulator(slots_per_node=slots).run(builder.tasks)
+        assert result.total_time == pytest.approx(sim.makespan, rel=1e-9)

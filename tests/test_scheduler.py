@@ -47,6 +47,42 @@ class TestAssignmentMetrics:
         assert a.imbalance == 1.0
         assert a.locality_fraction == 1.0
 
+    def test_block_twice_on_one_node_rejected(self):
+        with pytest.raises(SchedulingError, match="block 1 assigned twice"):
+            Assignment({0: [1, 2, 1]}, {0: 30})
+
+    def test_block_on_two_nodes_rejected(self):
+        with pytest.raises(SchedulingError, match="block 2 assigned twice"):
+            Assignment({0: [1, 2], 1: [2]}, {0: 20, 1: 10})
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 10),
+        st.integers(0, 60),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_every_scheduler_covers_each_block_once(
+        self, seed, num_nodes, num_blocks, replication
+    ):
+        """Algorithm 1, stock locality and max-flow each assign every
+        block of a random bipartite graph exactly once."""
+        from repro.core.flow import optimal_assignment
+        from repro.mapreduce.scheduler import LocalityScheduler
+
+        g = _random_graph(
+            np.random.default_rng(seed), num_nodes, num_blocks, replication
+        )
+        for scheduler in (
+            DistributionAwareScheduler().schedule,
+            LocalityScheduler().schedule,
+            optimal_assignment,
+        ):
+            a = scheduler(g)
+            assigned = [b for bs in a.blocks_by_node.values() for b in bs]
+            assert sorted(assigned) == g.blocks
+            assert sorted(a.node_of_block) == g.blocks
+
 
 class TestAlgorithm1:
     def test_all_blocks_assigned_exactly_once(self):

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, JobError
 from repro.sim import (
     DiscreteEventSimulator,
     JobGraphBuilder,
@@ -190,18 +190,30 @@ class TestTimelineViews:
 
 class TestAdapter:
     def test_single_job_close_to_engine(self):
+        """The engine times a job on this simulator, so a single job's
+        makespan matches its simulated task graph for every app."""
         from repro.experiments.config import ReferenceConfig, build_movie_environment
-        from repro.mapreduce.apps import word_count_job
+        from repro.mapreduce.apps import (
+            histogram_job,
+            moving_average_job,
+            top_k_search_job,
+            word_count_job,
+        )
 
         env = build_movie_environment(ReferenceConfig.small())
-        job = word_count_job()
         assignment = env.datanet.schedule(env.target, skip_absent=False)
-        tasks = build_job_graph(
-            env.engine.cost, env.dataset, env.target, job, assignment
-        )
-        sim = DiscreteEventSimulator().run(tasks)
-        engine = env.engine.run_job(env.dataset, env.target, job, assignment)
-        assert sim.makespan == pytest.approx(engine.total_time, rel=0.05)
+        for job in (
+            moving_average_job(),
+            word_count_job(),
+            histogram_job(),
+            top_k_search_job("great movie", k=5),
+        ):
+            tasks = build_job_graph(
+                env.engine.cost, env.dataset, env.target, job, assignment
+            )
+            sim = DiscreteEventSimulator(slots_per_node=env.engine.map_slots).run(tasks)
+            engine = env.engine.run_job(env.dataset, env.target, job, assignment)
+            assert sim.makespan == pytest.approx(engine.total_time, rel=1e-9), job.name
 
     def test_phase_ordering(self):
         from repro.experiments.config import ReferenceConfig, build_movie_environment
@@ -226,8 +238,26 @@ class TestAdapter:
         from repro.mapreduce.costmodel import ClusterCostModel
 
         builder = JobGraphBuilder(ClusterCostModel())
-        with pytest.raises(ConfigError):
+        with pytest.raises(JobError):
             builder.add_analysis("x", word_count_job(), {})
+
+    def test_selection_rejects_unknown_block(self):
+        """The builder and the engine reject a bad assignment with the
+        same error type."""
+        import numpy as np
+
+        from repro import HDFSCluster
+        from repro.core.scheduler import Assignment
+        from repro.mapreduce.apps import word_count_job
+        from repro.mapreduce.costmodel import ClusterCostModel
+        from tests.conftest import make_records
+
+        cluster = HDFSCluster(num_nodes=4, block_size=2048, rng=np.random.default_rng(3))
+        dataset = cluster.write_dataset("d", make_records({"hot": 40}))
+        bogus = Assignment({0: [9999]}, {0: 0})
+        builder = JobGraphBuilder(ClusterCostModel())
+        with pytest.raises(JobError):
+            builder.add_selection("x", dataset, "hot", bogus, word_count_job().profile)
 
 
 class TestGantt:

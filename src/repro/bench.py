@@ -63,13 +63,6 @@ _RESULT_FIELDS: Dict[str, Tuple[str, ...]] = {
         "scalar_updates_per_s",
         "speedup",
     ),
-    "simulator": (
-        "tasks",
-        "events",
-        "events_per_s",
-        "reference_events_per_s",
-        "speedup",
-    ),
     "scheduling": (
         "blocks",
         "cached_graphs_per_s",
@@ -227,52 +220,6 @@ def _bench_countmin(rng: random.Random, quick: bool) -> Dict[str, float]:
     }
 
 
-def _make_tasks(rng: random.Random, n_tasks: int, n_nodes: int):
-    from .sim.tasks import SimTask
-
-    tasks = []
-    for i in range(n_tasks):
-        n_deps = min(i, rng.choice([0, 0, 1, 2]))
-        deps = frozenset(
-            f"task-{j:06d}" for j in rng.sample(range(i), n_deps)
-        )
-        tasks.append(
-            SimTask(
-                task_id=f"task-{i:06d}",
-                node=f"node-{rng.randrange(n_nodes)}",
-                duration=rng.choice([0.5, 1.0, 2.0, 4.0]),
-                deps=deps,
-            )
-        )
-    return tasks
-
-
-def _bench_simulator(rng: random.Random, quick: bool) -> Dict[str, float]:
-    from .faults.injector import FaultInjector
-    from .faults.plan import FaultPlan
-    from .sim.simulator import DiscreteEventSimulator
-
-    n_tasks = 2_000 if quick else 50_000
-    tasks = _make_tasks(rng, n_tasks, n_nodes=100)
-    sim = DiscreteEventSimulator(slots_per_node=2)
-    result = sim.run(list(tasks))
-    events = result.events_processed
-
-    t_fast = _time(lambda: sim.run(list(tasks)))
-    # the fault-aware loop with an empty plan is the reference
-    # implementation the fast path must stay bit-identical to
-    t_ref = _time(
-        lambda: sim.run(list(tasks), injector=FaultInjector(FaultPlan()))
-    )
-    return {
-        "tasks": n_tasks,
-        "events": events,
-        "events_per_s": events / t_fast,
-        "reference_events_per_s": events / t_ref,
-        "speedup": t_ref / t_fast,
-    }
-
-
 def _bench_scheduling(rng: random.Random, quick: bool) -> Dict[str, float]:
     from .core.builder import ElasticMapBuilder
     from .core.datanet import DataNet
@@ -321,7 +268,6 @@ def run_core_suite(*, quick: bool = False, seed: int = 1729) -> Dict[str, object
         ("bloom_membership", _bench_bloom),
         ("bucketizer", _bench_bucketizer),
         ("countmin", _bench_countmin),
-        ("simulator", _bench_simulator),
         ("scheduling", _bench_scheduling),
     ):
         results[name] = fn(random.Random(seed), quick)
@@ -417,7 +363,6 @@ def format_record(record: Dict[str, object]) -> str:
         ("bloom_membership", "vectorized_lookups_per_s", "scalar_lookups_per_s", "qry/s"),
         ("bucketizer", "vectorized_records_per_s", "scalar_records_per_s", "rec/s"),
         ("countmin", "vectorized_updates_per_s", "scalar_updates_per_s", "upd/s"),
-        ("simulator", "events_per_s", "reference_events_per_s", "ev/s"),
         ("scheduling", "cached_graphs_per_s", "uncached_graphs_per_s", "gph/s"),
     )
     for section, vec_key, sca_key, unit in rows:

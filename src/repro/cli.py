@@ -770,6 +770,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     coding = _coding_spec(args.coding, args.nodes)
     plan = _fault_plan(args)
+    plan.validate_targets(range(args.nodes))
     records = MovieLensGenerator(
         num_movies=args.keys, total_reviews=args.records, rng=rng
     ).generate()
@@ -847,6 +848,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         args.kill or args.slow or args.flaky > 0 or args.bitrot or args.stale
     )
     plan = _fault_plan(args) if faulty else None
+    if plan is not None:
+        plan.validate_targets(range(args.nodes))
     rng = np.random.default_rng(args.seed)
     records = _generate_records(args.workload, args.records, args.keys, rng)
     cluster = HDFSCluster(
@@ -1056,8 +1059,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chaos.add_argument(
         "--restart-wave", action="append", type=int, default=[], metavar="WAVE",
-        help="kill the driver during WAVE and resume from the checkpoint "
-        "(repeatable; incompatible with --kill)",
+        help="kill the driver while each node runs the WAVE-th block of its "
+        "queue; completed outputs survive and that block reruns (repeatable; "
+        "incompatible with --kill, --partition, --flaky-link and --coding)",
     )
     p_chaos.add_argument(
         "--coding", metavar="K,M",

@@ -8,8 +8,8 @@ reproduction survive an unhealthy one.  It is organized as four layers:
   task failures, slow nodes, metadata-shard outages, replica bit rot,
   stale metadata entries, and mid-job driver restarts.
 - :mod:`repro.faults.injector` — :class:`FaultInjector`, the deterministic
-  oracle the engine and the discrete-event simulator consult at event
-  boundaries.
+  oracle the chaos runner, the read paths and the analysis service consult
+  at event boundaries.
 - :mod:`repro.faults.retry` — the task-attempt lifecycle: exponential
   backoff, retry budgets, heartbeat-delayed crash detection, per-node
   blacklisting, and the :class:`AttemptLog` ledger behind the recovery
@@ -20,11 +20,12 @@ reproduction survive an unhealthy one.  It is organized as four layers:
   :class:`FirstWinLedger` settles hedged/speculative completion races
   first-response-wins without double-counting bytes.
 - :mod:`repro.faults.runner` / :mod:`repro.faults.degrade` — whole-job
-  recovery: :class:`ChaosRunner` replays a job under a plan, re-replicates
-  after crashes, reschedules lost work on a rebuilt bipartite graph,
-  routes around slow nodes, flaky links and healing network partitions,
-  and degrades metadata-less blocks to locality-only scheduling instead
-  of failing.
+  recovery: :class:`ChaosRunner` replays a job under a plan in one
+  attempt loop, re-replicates after crashes, reschedules lost work on a
+  rebuilt bipartite graph, routes around slow nodes, flaky links and
+  healing network partitions, reruns the blocks a driver restart
+  interrupted, and degrades metadata-less blocks to locality-only
+  scheduling instead of failing.
 
 Determinism is the design invariant throughout: the same plan over the
 same seeded cluster produces an identical job result, and recovery never

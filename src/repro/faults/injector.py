@@ -4,8 +4,7 @@
 into point queries: *does this attempt fail?*, *is this node dead yet?*,
 *how slow is this node right now?*  Every answer is a pure function of the
 plan — transient decisions hash ``(seed, task, attempt, node)`` through
-BLAKE2b — so the engine and the discrete-event simulator stay fully
-deterministic under injection.
+BLAKE2b — so every run under injection stays fully deterministic.
 """
 
 from __future__ import annotations

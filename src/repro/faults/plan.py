@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -270,12 +270,15 @@ class StaleMetadata:
 
 @dataclass(frozen=True)
 class DriverRestart:
-    """The job driver dies mid-wave ``wave`` and restarts from checkpoint.
+    """The job driver dies while each node runs the ``wave``-th block of
+    its assigned queue, and restarts.
 
-    Work in flight during that wave is lost (``waste_fraction`` of each
-    task's duration) and the restarted driver resumes from the last
-    durable wave checkpoint after ``restart_delay_s``.  Output must be
-    byte-identical to an uninterrupted run; only time is lost.
+    Completed selection outputs survive.  Each node with a block at that
+    wave loses ``waste_fraction`` of the block's fault-free cost, then
+    waits out ``restart_delay_s`` before rerunning it from attempt 1; a
+    node whose queue is already done waits out the delay only.  A wave
+    past the longest queue never fires.  Output must be byte-identical
+    to an uninterrupted run; only time is lost.
     """
 
     wave: int
@@ -525,6 +528,51 @@ class FaultPlan:
     def has_gray(self) -> bool:
         """True when the plan injects any gray (non-fail-stop) fault."""
         return bool(self.slow_nodes or self.flaky_links or self.partitions)
+
+    def validate_targets(self, nodes: Iterable[NodeId]) -> None:
+        """Reject faults aimed at nodes outside ``nodes``, and restarts
+        combined with faults the restart rule cannot model.
+
+        Checks crash, slow-node and bit-rot nodes, flaky-link endpoints and
+        node-set partitions.  Cheap enough to run before any data exists,
+        so a bad plan fails before it costs a workload.
+
+        Raises:
+            ConfigError: on the first unknown node or invalid combination.
+        """
+        known = set(nodes)
+        for crash in self.crashes:
+            if crash.node not in known:
+                raise ConfigError(f"plan crashes unknown node {crash.node!r}")
+        for slow in self.slow_nodes:
+            if slow.node not in known:
+                raise ConfigError(f"plan slows unknown node {slow.node!r}")
+        for rot in self.bit_rots:
+            if rot.node not in known:
+                raise ConfigError(f"plan rots replica on unknown node {rot.node!r}")
+        for link in self.flaky_links:
+            for endpoint in (link.a, link.b):
+                if endpoint not in known:
+                    raise ConfigError(
+                        f"plan degrades link at unknown node {endpoint!r}"
+                    )
+        for p in self.partitions:
+            unknown = sorted(repr(n) for n in p.nodes if n not in known)
+            if unknown:
+                raise ConfigError(
+                    f"partition names unknown node(s): {', '.join(unknown)}"
+                )
+        if self.driver_restarts and self.crashes:
+            raise ConfigError(
+                "driver restarts cannot be combined with node crashes: "
+                "restarts are charged along each node's assigned queue, and "
+                "crash recovery rewrites those queues"
+            )
+        if self.driver_restarts and (self.partitions or self.flaky_links):
+            raise ConfigError(
+                "driver restarts cannot be combined with partitions or flaky "
+                "links: restart waste is priced without a network model"
+            )
 
     def is_empty(self) -> bool:
         """True when the plan injects nothing at all."""

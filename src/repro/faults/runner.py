@@ -9,6 +9,11 @@ bipartite graph without the dead/blacklisted nodes.  When a distributed
 metadata shard is down, affected blocks degrade to locality-only
 scheduling instead of failing the job (:mod:`repro.faults.degrade`).
 
+Driver restarts run in the same loop: a restart at wave ``w`` is charged
+to each node as it reaches the ``w``-th block of its assigned queue (the
+lost share of that block, then the restart delay); completed outputs are
+kept and the interrupted block reruns from attempt 1.
+
 Gray failures get the same treatment as fail-stop ones, one layer up:
 
 * a heartbeat probe feeds the φ-accrual :class:`HealthDetector`, whose
@@ -50,7 +55,6 @@ from ..hdfs.cluster import DatasetView, HDFSCluster
 from ..hdfs.failure import FailureManager
 from ..hdfs.records import Record
 from ..hdfs.scrubber import ReadVerifier, Scrubber
-from ..mapreduce.checkpoint import WaveCheckpoint
 from ..mapreduce.costmodel import ClusterCostModel
 from ..mapreduce.engine import JobResult, MapReduceEngine, PhaseResult, SelectionResult
 from ..mapreduce.job import MapReduceJob
@@ -182,34 +186,12 @@ class ChaosRunner:
         hedge: bool = True,
         obs: Observability = NULL_OBS,
     ) -> None:
-        for crash in plan.crashes:
-            if crash.node not in cluster.datanodes:
-                raise ConfigError(f"plan crashes unknown node {crash.node!r}")
-        for rot in plan.bit_rots:
-            if rot.node not in cluster.datanodes:
-                raise ConfigError(f"plan rots replica on unknown node {rot.node!r}")
-        for link in plan.flaky_links:
-            for endpoint in (link.a, link.b):
-                if endpoint not in cluster.datanodes:
-                    raise ConfigError(
-                        f"plan degrades link at unknown node {endpoint!r}"
-                    )
-        if plan.driver_restarts and plan.crashes:
-            raise ConfigError(
-                "driver restarts cannot be combined with node crashes: "
-                "checkpointed waves and crash rescheduling assume different "
-                "execution orders"
-            )
-        if plan.driver_restarts and (plan.partitions or plan.flaky_links):
-            raise ConfigError(
-                "driver restarts cannot be combined with partitions or flaky "
-                "links: the checkpointed wave path has no network model"
-            )
+        plan.validate_targets(cluster.datanodes)
         if plan.driver_restarts and cluster.coding is not None:
             raise ConfigError(
-                "driver restarts cannot be combined with erasure coding: "
-                "the checkpointed wave path does not thread the coded reader, "
-                "so its fragment counters would silently go missing"
+                "driver restarts cannot be combined with erasure coding: the "
+                "restart waste estimate would read fragments through the "
+                "engine's own coded reader, whose counters never reach the report"
             )
         self.cluster = cluster
         self.plan = plan
@@ -339,34 +321,23 @@ class ChaosRunner:
 
         log = AttemptLog()
         blacklist = NodeBlacklist(self.retry.blacklist_after)
-        resume_wasted = 0.0
-        restarts_survived = 0
-        partition_events = 0
-        deferred_blocks: List[int] = []
         with self.obs.tracer.span(f"selection/{sub_id}", category="phase") as sel_span:
-            if self.plan.driver_restarts:
-                selection, resume_wasted, restarts_survived = (
-                    self._selection_with_restarts(
-                        dataset, sub_id, assignment, job.profile, log, blacklist,
-                        verifier,
-                    )
-                )
-                crash_waste, rescheduled = 0.0, []
-            else:
-                (
-                    selection,
-                    crash_waste,
-                    rescheduled,
-                    partition_events,
-                    deferred_blocks,
-                ) = self._selection_with_recovery(
-                    dataset, sub_id, assignment, job.profile, datanet, log, blacklist,
-                    verifier,
-                    hedged=hedged,
-                    coded=coded,
-                    health=health,
-                    deferred0=deferred0,
-                )
+            (
+                selection,
+                crash_waste,
+                rescheduled,
+                partition_events,
+                deferred_blocks,
+                restarts_survived,
+                resume_wasted,
+            ) = self._selection_with_recovery(
+                dataset, sub_id, assignment, job.profile, datanet, log, blacklist,
+                verifier,
+                hedged=hedged,
+                coded=coded,
+                health=health,
+                deferred0=deferred0,
+            )
             sel_span.sim(0.0, selection.makespan)
         # Background scrub: repair rot the read path never touched (replicas
         # of unselected blocks, or copies a task skipped over).  Off the job
@@ -563,63 +534,6 @@ class ChaosRunner:
             applied.add((node, rot.block))
         return len(applied)
 
-    # -- checkpointed selection ---------------------------------------------------
-
-    def _selection_with_restarts(
-        self,
-        dataset: DatasetView,
-        sub_id: str,
-        assignment: Assignment,
-        profile,
-        log: AttemptLog,
-        blacklist: NodeBlacklist,
-        verifier: ReadVerifier,
-    ) -> Tuple[SelectionResult, float, int]:
-        """Checkpointed selection surviving every planned driver restart.
-
-        Returns ``(selection, resume_wasted_seconds, restarts_survived)``.
-        Each restart round-trips the checkpoint through its durable byte
-        form: resume must work from what survives a driver death, not from
-        in-memory state.
-        """
-        checkpoint = None
-        resume_wasted = 0.0
-        survived = 0
-        selection = None
-        for restart in self.injector.driver_restarts():
-            selection, checkpoint, wasted = self.engine.run_selection_checkpointed(
-                dataset,
-                sub_id,
-                assignment,
-                profile,
-                checkpoint=checkpoint,
-                interrupt=restart,
-                injector=self.injector,
-                retry=self.retry,
-                attempt_log=log,
-                blacklist=blacklist,
-                verify=verifier,
-            )
-            if selection is not None:
-                break  # the planned restart wave lay past the end of the job
-            survived += 1
-            resume_wasted += wasted
-            checkpoint = WaveCheckpoint.from_bytes(checkpoint.to_bytes())
-        if selection is None:
-            selection, _checkpoint, _ = self.engine.run_selection_checkpointed(
-                dataset,
-                sub_id,
-                assignment,
-                profile,
-                checkpoint=checkpoint,
-                injector=self.injector,
-                retry=self.retry,
-                attempt_log=log,
-                blacklist=blacklist,
-                verify=verifier,
-            )
-        return selection, resume_wasted, survived
-
     # -- fault-tolerant selection -------------------------------------------------
 
     def _selection_with_recovery(
@@ -637,13 +551,16 @@ class ChaosRunner:
         coded=None,
         health: Optional[Dict[NodeId, float]] = None,
         deferred0: Optional[List[int]] = None,
-    ) -> Tuple[SelectionResult, float, List[int], int, List[int]]:
-        """Drive selection to completion through crashes, cuts and retries.
+    ) -> Tuple[SelectionResult, float, List[int], int, List[int], int, float]:
+        """Drive selection to completion through crashes, cuts, retries and
+        driver restarts.
 
         Crashes and partition start/heal events form one chronological
         list; between consecutive events every node drains its queue up to
-        the boundary.  Returns ``(selection, crash_wasted_seconds,
-        rescheduled_blocks, partition_events, deferred_blocks)``.
+        the boundary.  Driver restarts are charged inside the drain (see
+        :class:`~repro.faults.plan.DriverRestart`).  Returns ``(selection,
+        crash_wasted_seconds, rescheduled_blocks, partition_events,
+        deferred_blocks, driver_restarts, resume_wasted_seconds)``.
         """
         injector, policy = self.injector, self.retry
         partitions = (
@@ -672,6 +589,16 @@ class ChaosRunner:
 
         for node, bids in assignment.blocks_by_node.items():
             pending[node] = list(bids)
+
+        # Restarts never meet crashes or cuts (FaultPlan.validate_targets):
+        # each node drains its assigned queue once, in order, so the block
+        # it is about to run is wave len(outputs[node]).
+        num_waves = max(map(len, assignment.blocks_by_node.values()), default=0)
+        restarts = {
+            r.wave: r for r in injector.driver_restarts() if r.wave < num_waves
+        }
+        # wave -> node -> work lost to that wave's restart
+        restart_losses: Dict[int, Dict[NodeId, float]] = {w: {} for w in restarts}
 
         tracer = self.obs.tracer
 
@@ -735,6 +662,17 @@ class ChaosRunner:
                         continue
                 else:
                     reachable = list(placement[bid])
+                restart = restarts.get(len(outputs[node]))
+                if restart is not None:
+                    # the driver died during this block: its lost share is
+                    # priced with no reader, so the estimate has no side
+                    # effects; the block then reruns from attempt 1
+                    lost = restart.waste_fraction * self.engine.selection_task_cost(
+                        dataset, sub_id, placement, node, bid, profile
+                    )[0]
+                    restart_losses[restart.wave][node] = lost
+                    clock[node] += lost
+                    clock[node] += restart.restart_delay_s
                 base, matched, nbytes = self.engine.selection_task_cost(
                     dataset, sub_id, placement, node, bid, profile,
                     verify=verifier if hedged is None and coded is None else None,
@@ -784,6 +722,11 @@ class ChaosRunner:
                 outputs[node][bid] = matched
                 blocks_read += 1
                 bytes_read += nbytes
+            if not queue:
+                # restarts after the node's last block cost the delay only
+                for wave, restart in restarts.items():
+                    if wave >= len(outputs[node]):
+                        clock[node] += restart.restart_delay_s
 
         def discard_node_work(node: NodeId, at: float, outcome: str) -> List[int]:
             """Crash-style loss: everything the node produced or owed."""
@@ -901,6 +844,18 @@ class ChaosRunner:
             raise FaultError(
                 f"blocks never became reachable: {sorted(set(deferred))[:5]}"
             )
+        resume_wasted = 0.0
+        for k, (wave, losses) in enumerate(restart_losses.items(), 1):
+            wasted = sum(losses[n] for n in sorted(losses, key=repr))
+            resume_wasted += wasted
+            if tracer.enabled:
+                tracer.record(
+                    f"driver-restart-{k}", category="restart", wave=wave, wasted_s=wasted
+                )
+        if restarts and self.obs.metrics.enabled:
+            self.obs.metrics.counter(
+                "driver_restarts_total", help="driver deaths survived"
+            ).inc(len(restarts))
 
         local_data: Dict[NodeId, List[Record]] = {}
         bytes_per_node: Dict[NodeId, int] = {}
@@ -930,6 +885,8 @@ class ChaosRunner:
             rescheduled,
             partition_events,
             sorted(deferred_seen),
+            len(restarts),
+            resume_wasted,
         )
 
     def _reschedule(

@@ -30,10 +30,8 @@ from .engine import (
     SelectionResult,
     ShuffleResult,
 )
-from .checkpoint import WaveCheckpoint
 
 __all__ = [
-    "WaveCheckpoint",
     "AppProfile",
     "ClusterCostModel",
     "PROFILES",

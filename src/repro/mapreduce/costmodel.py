@@ -204,8 +204,8 @@ def price_selection(
     """Price one selection task: read + filter + write for one block.
 
     Returns ``(duration, matched_records, block_bytes)``.  Every selection
-    task is priced here: the engine's, the chaos runner's, the wave
-    checkpoint's and the job-graph builder's.
+    task is priced here: the engine's, the chaos runner's (restart waste
+    included) and the job-graph builder's.
 
     Without a reader, the read is a plain replica read: local when
     ``node`` holds a replica, remote otherwise.

@@ -41,12 +41,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoids a cycle)
-    from ..faults.injector import FaultInjector
-    from ..faults.plan import DriverRestart
-    from ..faults.retry import AttemptLog, NodeBlacklist, RetryPolicy
     from ..hdfs.coded import CodedReader
-    from ..hdfs.scrubber import ReadVerifier
-    from .checkpoint import WaveCheckpoint
 
 from ..core.scheduler import Assignment
 from ..errors import ConfigError
@@ -340,43 +335,6 @@ class MapReduceEngine:
             bytes_per_node=bytes_per_node,
             blocks_read=len(tasks),
             bytes_read=bytes_read,
-        )
-
-    def run_selection_checkpointed(
-        self,
-        dataset: DatasetView,
-        sub_id: str,
-        assignment: Assignment,
-        profile: AppProfile,
-        *,
-        checkpoint: Optional["WaveCheckpoint"] = None,
-        interrupt: Optional["DriverRestart"] = None,
-        injector: Optional["FaultInjector"] = None,
-        retry: Optional["RetryPolicy"] = None,
-        attempt_log: Optional["AttemptLog"] = None,
-        blacklist: Optional["NodeBlacklist"] = None,
-        verify: Optional["ReadVerifier"] = None,
-    ) -> Tuple[Optional[SelectionResult], "WaveCheckpoint", float]:
-        """Wave-granularity selection with durable checkpoints.
-
-        See :func:`repro.mapreduce.checkpoint.run_selection_checkpointed`;
-        this is the engine-level entry point (single-slot semantics).
-        """
-        from .checkpoint import run_selection_checkpointed
-
-        return run_selection_checkpointed(
-            self,
-            dataset,
-            sub_id,
-            assignment,
-            profile,
-            checkpoint=checkpoint,
-            interrupt=interrupt,
-            injector=injector,
-            retry=retry,
-            attempt_log=attempt_log,
-            blacklist=blacklist,
-            verify=verify,
         )
 
     # -- analysis phase -------------------------------------------------------------

@@ -4,8 +4,7 @@ The headline invariant of the integrity subsystem — no injected corruption
 reaches analysis output silently — is only auditable if every detection
 and repair is counted.  :class:`IntegritySummary` is that ledger: replica
 corruptions injected vs detected vs repaired, scrub coverage, stale
-metadata entries rebuilt, and the overhead of checkpointed driver
-restarts.
+metadata entries rebuilt, and the overhead of driver restarts.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ class IntegritySummary:
         scrub_bytes: bytes the scrubber read while verifying.
         stale_entries: metadata entries the plan diverged from their blocks.
         rebuilt_blocks: entries quarantined and rebuilt by validation.
-        driver_restarts: mid-job driver deaths survived via checkpoints.
+        driver_restarts: mid-job driver deaths survived (the interrupted
+            blocks rerun; completed outputs are kept).
         resume_wasted_seconds: in-flight work lost to those restarts.
     """
 

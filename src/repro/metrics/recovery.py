@@ -39,9 +39,10 @@ class RecoverySummary:
         scrub_bytes: bytes the replica scrubber re-checksummed.
         repaired_replicas: rotten replicas repaired (read path + scrub).
         rebuilt_blocks: stale ElasticMap entries rebuilt by validation.
-        driver_restarts: mid-job driver deaths survived via checkpoints.
+        driver_restarts: mid-job driver deaths survived (the interrupted
+            blocks rerun; completed outputs are kept).
         resume_wasted_seconds: in-flight work lost to driver restarts
-            (replayed after resume; part of the recovery bill).
+            (rerun after the restart; part of the recovery bill).
         partition_events: network partitions that started during the run.
         deferred_blocks: distinct blocks whose reads waited for a
             partition to heal (no reachable replica while cut).

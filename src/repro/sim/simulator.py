@@ -10,27 +10,17 @@ Semantics:
 * completion events free the slot and may ready successor tasks.
 
 The loop is a classic priority-queue simulation: O((T + E) log T) for T
-tasks and E dependency edges.
-
-With a :class:`~repro.faults.injector.FaultInjector` the run-once model
-becomes an attempt lifecycle: transient failures burn partial work and
-retry after exponential backoff, planned node crashes kill running and
-queued work (detected one heartbeat timeout later, then re-routed to a
-live node), and nodes that keep failing attempts are blacklisted.  The
-fault-free path is byte-identical to the original loop.
+tasks and E dependency edges.  Faults are not modelled here: jobs run
+under a fault plan go through :class:`~repro.faults.runner.ChaosRunner`.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoids a cycle)
-    from ..faults.injector import FaultInjector
-    from ..faults.retry import RetryPolicy
-
-from ..errors import ConfigError, FaultError, TaskAttemptError
+from ..errors import ConfigError
 from ..obs import NULL_OBS, Observability
 from .tasks import SimTask, TaskTimeline
 
@@ -41,19 +31,10 @@ NodeId = Hashable
 
 @dataclass
 class SimulationResult:
-    """Outcome of one simulation run.
-
-    The fault-accounting fields stay at their zero values for fault-free
-    runs; under injection they mirror :class:`repro.metrics.RecoverySummary`.
-    """
+    """Outcome of one simulation run."""
 
     timeline: TaskTimeline
     events_processed: int
-    attempts_histogram: Dict[int, int] = field(default_factory=dict)
-    wasted_seconds: float = 0.0
-    dead_nodes: List[NodeId] = field(default_factory=list)
-    blacklisted_nodes: List[NodeId] = field(default_factory=list)
-    migrated_tasks: List[str] = field(default_factory=list)
     cancelled_tasks: List[str] = field(default_factory=list)
 
     @property
@@ -112,17 +93,12 @@ class DiscreteEventSimulator:
         self,
         tasks: Iterable[SimTask],
         *,
-        injector: Optional["FaultInjector"] = None,
-        policy: Optional["RetryPolicy"] = None,
         obs: Observability = NULL_OBS,
         cancel_at: Optional[float] = None,
     ) -> SimulationResult:
         """Simulate all tasks; returns the realized timeline.
 
         Args:
-            injector: optional fault oracle; enables the attempt lifecycle.
-            policy: retry/backoff/blacklist knobs (defaults when omitted;
-                only meaningful together with ``injector``).
             obs: observability bundle; spans and counters are recorded
                 post-hoc from the realized timeline, so the event loop
                 itself is untouched.
@@ -136,8 +112,6 @@ class DiscreteEventSimulator:
 
         Raises:
             ConfigError: duplicate ids, unknown dependencies, or cycles.
-            TaskAttemptError: a task exhausted its retry budget.
-            FaultError: no live node remains to run a task.
         """
         if cancel_at is not None and cancel_at < 0:
             raise ConfigError("cancel_at must be non-negative")
@@ -147,17 +121,15 @@ class DiscreteEventSimulator:
                 raise ConfigError(f"duplicate task id {task.task_id!r}")
             task_map[task.task_id] = task
         self._validate(task_map)
-        if injector is not None:
-            return self._run_with_faults(task_map, injector, policy, obs, cancel_at)
 
-        # Fault-free fast path: tasks and nodes carry dense int indices so
-        # the heaps compare ints, dependency sets collapse to counters, and
-        # each node hands out slot indices from a free-list stack.  Task
-        # ranks follow sorted task-id order, so the int tie-breaks in the
-        # per-node ready heaps reproduce the original string tie-breaks —
-        # the realized timeline is bit-identical to the reference loop
-        # (the fault-aware loop below, run with an empty plan, is that
-        # reference; the equivalence tests drive both).
+        # Tasks and nodes carry dense int indices so the heaps compare
+        # ints, dependency sets collapse to counters, and each node hands
+        # out slot indices from a free-list stack.  Task ranks follow
+        # sorted task-id order, so the int tie-breaks in the per-node ready
+        # heaps are the (ready time, task id) tie-breaks of a plain
+        # string-keyed loop.  tests/test_sim.py keeps that loop as the
+        # reference and checks the realized intervals against it, values
+        # and insertion order (test_property_chain_graph_consistent).
         EV_READY, EV_FINISH = 0, 1
         sorted_tids = sorted(task_map)
         rank: Dict[str, int] = {tid: r for r, tid in enumerate(sorted_tids)}
@@ -243,8 +215,8 @@ class DiscreteEventSimulator:
             ran = {sorted_tids[r] for r in start_order}
             missing = sorted(set(task_map) - ran)[:3]
             raise ConfigError(f"tasks never ran (scheduler bug?): {missing}")
-        # intervals in start order, matching the reference loop's insertion
-        # order; under a cancel horizon only completed tasks count
+        # intervals in start order; under a cancel horizon only completed
+        # tasks count
         intervals: Dict[str, Tuple[float, float]] = {
             sorted_tids[r]: (starts[r], ends[r])
             for r in start_order
@@ -281,328 +253,5 @@ class DiscreteEventSimulator:
         return SimulationResult(
             timeline=TaskTimeline(intervals=intervals, tasks=task_map),
             events_processed=processed,
-            cancelled_tasks=cancelled,
-        )
-
-    # -- the fault-aware event loop ------------------------------------------------
-
-    def _run_with_faults(
-        self,
-        task_map: Dict[str, SimTask],
-        injector: "FaultInjector",
-        policy: Optional["RetryPolicy"],
-        obs: Observability = NULL_OBS,
-        cancel_at: Optional[float] = None,
-    ) -> SimulationResult:
-        """The attempt-lifecycle event loop (see module docstring)."""
-        from ..faults.retry import AttemptLog, NodeBlacklist, RetryPolicy
-
-        traced = obs.tracer.enabled
-        # (task, attempt, node, outcome, sim start, sim end) — turned into
-        # spans after the loop so the loop itself stays untouched
-        attempt_trace: List[Tuple[str, int, NodeId, str, float, float]] = []
-
-        policy = policy or RetryPolicy()
-        log = AttemptLog()
-        blacklist = NodeBlacklist(policy.blacklist_after)
-
-        remaining_deps: Dict[str, Set[str]] = {
-            tid: set(t.deps) for tid, t in task_map.items()
-        }
-        successors: Dict[str, List[str]] = {tid: [] for tid in task_map}
-        for tid, task in task_map.items():
-            for dep in task.deps:
-                successors[dep].append(tid)
-
-        free_slots: Dict[NodeId, int] = {}
-        ready: Dict[NodeId, List[Tuple[float, str]]] = {}
-        for task in task_map.values():
-            free_slots.setdefault(task.node, self.slots_per_node)
-            ready.setdefault(task.node, [])
-
-        dead: Set[NodeId] = set()
-        cut: Set[NodeId] = set()
-        # explicit node scopes only: the simulator has no rack topology,
-        # so a rack-scoped partition raises a clear ConfigError here
-        partitions = (
-            injector.resolve_partitions(sorted(free_slots, key=repr))
-            if injector.plan.partitions
-            else []
-        )
-        attempt_no: Dict[str, int] = {tid: 1 for tid in task_map}
-        failures_of: Dict[str, int] = {tid: 0 for tid in task_map}
-        token: Dict[str, int] = {tid: 0 for tid in task_map}
-        # tid -> (node, start time, token of the live attempt)
-        running: Dict[str, Tuple[NodeId, float, int]] = {}
-        final_node: Dict[str, NodeId] = {}
-        intervals: Dict[str, Tuple[float, float]] = {}
-        migrated: List[str] = []
-
-        # event heap: (time, seq, kind, payload, attempt token)
-        events: List[Tuple[float, int, str, object, int]] = []
-        seq = 0
-
-        def push(time: float, kind: str, payload: object, tok: int = 0) -> None:
-            nonlocal seq
-            heapq.heappush(events, (time, seq, kind, payload, tok))
-            seq += 1
-
-        # same-time ordering: heals first (nodes rejoin before anything
-        # else happens), then crashes, then partition starts and task
-        # readiness — encoded purely by push order
-        for p in partitions:
-            push(p.heals_at, "pheal", p)
-        for crash in injector.crashes_chronological():
-            if crash.node in free_slots:
-                push(crash.time, "crash", crash.node)
-        for p in partitions:
-            push(p.start, "pstart", p)
-        for tid, task in task_map.items():
-            if not task.deps:
-                push(task.release_time, "ready", tid)
-
-        def usable(node: NodeId) -> bool:
-            return (
-                node not in dead
-                and node not in cut
-                and not blacklist.is_blacklisted(node)
-            )
-
-        def route(tid: str) -> NodeId:
-            """The node this task runs on next: home node while it is
-            usable, else the live node with the shortest queue."""
-            home = task_map[tid].node
-            if usable(home):
-                return home
-            candidates = [n for n in free_slots if usable(n)]
-            if not candidates:
-                # every live node is benched: relax the blacklist rather
-                # than fail the job (mirrors ChaosRunner._reschedule) —
-                # a benched node is still preferable to no node at all
-                candidates = [
-                    n for n in free_slots if n not in dead and n not in cut
-                ]
-            if not candidates:
-                raise FaultError(
-                    f"no live node left to run task {tid!r} "
-                    f"(dead={sorted(dead, key=repr)}, "
-                    f"blacklisted={blacklist.nodes})"
-                )
-            chosen = min(
-                candidates,
-                key=lambda n: (
-                    len(ready[n]) + sum(1 for _t, (rn, _s, _k) in running.items() if rn == n),
-                    repr(n),
-                ),
-            )
-            if chosen != home:
-                migrated.append(tid)
-            return chosen
-
-        def exhaust(tid: str, node: NodeId) -> TaskAttemptError:
-            return TaskAttemptError(
-                f"task {tid!r} failed {policy.max_attempts} attempts",
-                task_id=tid,
-                node=node,
-                attempts=policy.max_attempts,
-            )
-
-        def evacuate(node: NodeId, time: float) -> None:
-            """Re-route every queued (not yet started) task off a node."""
-            for _rt, qtid in ready[node]:
-                push(time, "ready", qtid)
-            ready[node] = []
-
-        def start_available(node: NodeId, time: float) -> None:
-            if node in dead or node in cut:
-                return
-            if blacklist.is_blacklisted(node) and any(usable(n) for n in free_slots):
-                return  # benched, and a healthy node exists to take the work
-            while free_slots[node] > 0 and ready[node]:
-                _rt, tid = heapq.heappop(ready[node])
-                free_slots[node] -= 1
-                attempt = attempt_no[tid]
-                duration = task_map[tid].duration * injector.slowdown(node, time)
-                token[tid] += 1
-                running[tid] = (node, time, token[tid])
-                if injector.attempt_fails(tid, attempt, node):
-                    push(time + duration * injector.waste_fraction, "fail", tid, token[tid])
-                else:
-                    push(time + duration, "finish", tid, token[tid])
-
-        processed = 0
-        while events:
-            if cancel_at is not None and events[0][0] > cancel_at:
-                break
-            now, _s, kind, payload, tok = heapq.heappop(events)
-            processed += 1
-            if kind == "pstart":
-                # the cut side goes silent: running attempts are lost (the
-                # driver re-runs them after a heartbeat), queued work is
-                # re-routed, but the nodes themselves rejoin at heal time
-                for node in payload.sorted_nodes():
-                    if node not in free_slots or node in dead:
-                        continue
-                    cut.add(node)
-                    for tid in sorted(
-                        t for t, (n, _s2, _k) in running.items() if n == node
-                    ):
-                        _n, start, _tk = running.pop(tid)
-                        free_slots[node] += 1
-                        log.record(tid, node, attempt_no[tid], "partition", now - start)
-                        if traced:
-                            attempt_trace.append(
-                                (tid, attempt_no[tid], node, "partition", start, now)
-                            )
-                        attempt_no[tid] += 1
-                        if attempt_no[tid] > policy.max_attempts:
-                            raise exhaust(tid, node)
-                        push(now + policy.heartbeat_timeout_s, "ready", tid)
-                    evacuate(node, now)
-                continue
-            if kind == "pheal":
-                for node in payload.sorted_nodes():
-                    cut.discard(node)
-                    if node in free_slots and node not in dead:
-                        start_available(node, now)
-                continue
-            if kind == "crash":
-                node = payload
-                if node in dead:
-                    continue
-                dead.add(node)
-                for tid in sorted(t for t, (n, _s2, _k) in running.items() if n == node):
-                    _n, start, _tk = running.pop(tid)
-                    log.record(tid, node, attempt_no[tid], "crash", now - start)
-                    if traced:
-                        attempt_trace.append(
-                            (tid, attempt_no[tid], node, "crash", start, now)
-                        )
-                    attempt_no[tid] += 1
-                    if attempt_no[tid] > policy.max_attempts:
-                        raise exhaust(tid, node)
-                    # the JobTracker only learns of the death a heartbeat later
-                    push(now + policy.heartbeat_timeout_s, "ready", tid)
-                evacuate(node, now)
-                continue
-            tid = payload
-            if kind == "ready":
-                node = route(tid)
-                heapq.heappush(ready[node], (now, tid))
-                start_available(node, now)
-                continue
-            # finish / fail of one attempt
-            entry = running.get(tid)
-            if entry is None or entry[2] != tok:
-                continue  # stale event: the attempt died with its node
-            node, start, _tk = entry
-            del running[tid]
-            free_slots[node] += 1
-            if kind == "fail":
-                log.record(tid, node, attempt_no[tid], "fault", now - start)
-                if traced:
-                    attempt_trace.append(
-                        (tid, attempt_no[tid], node, "fault", start, now)
-                    )
-                newly_benched = blacklist.record_failure(node)
-                attempt_no[tid] += 1
-                failures_of[tid] += 1
-                if attempt_no[tid] > policy.max_attempts:
-                    raise exhaust(tid, node)
-                push(
-                    now
-                    + policy.backoff(
-                        failures_of[tid], task_key=tid, seed=injector.plan.seed
-                    ),
-                    "ready",
-                    tid,
-                )
-                if newly_benched:
-                    evacuate(node, now)
-                else:
-                    start_available(node, now)
-                continue
-            # finish
-            log.record(tid, node, attempt_no[tid], "ok")
-            if traced:
-                attempt_trace.append((tid, attempt_no[tid], node, "ok", start, now))
-            intervals[tid] = (start, now)
-            final_node[tid] = node
-            for succ in successors[tid]:
-                remaining_deps[succ].discard(tid)
-                if not remaining_deps[succ]:
-                    push(max(now, task_map[succ].release_time), "ready", succ)
-            start_available(node, now)
-
-        if cancel_at is None and len(intervals) != len(task_map):  # pragma: no cover
-            missing = sorted(set(task_map) - set(intervals))[:3]
-            raise ConfigError(f"tasks never ran (scheduler bug?): {missing}")
-        cancelled = sorted(set(task_map) - set(intervals)) if cancel_at is not None else []
-        realized = {
-            tid: (
-                task
-                if final_node.get(tid, task.node) == task.node
-                else replace(task, node=final_node[tid])
-            )
-            for tid, task in task_map.items()
-        }
-        if traced:
-            by_task: Dict[str, List[Tuple[int, NodeId, str, float, float]]] = {}
-            for tid, attempt, node, outcome, start, end in attempt_trace:
-                by_task.setdefault(tid, []).append((attempt, node, outcome, start, end))
-            with obs.tracer.span(
-                "sim/run", category="phase", sim_start=0.0, tasks=len(task_map)
-            ) as sim_phase:
-                for tid in sorted(intervals):
-                    tries = sorted(by_task.get(tid, []))
-                    first = tries[0][3] if tries else intervals[tid][0]
-                    parent = obs.tracer.record(
-                        tid,
-                        category="task",
-                        sim_start=first,
-                        sim_end=intervals[tid][1],
-                        track=f"node {final_node[tid]}",
-                        kind=task_map[tid].kind,
-                        attempts=len(tries),
-                    )
-                    for attempt, node, outcome, start, end in tries:
-                        obs.tracer.record(
-                            f"{tid}#a{attempt}",
-                            category="attempt",
-                            sim_start=start,
-                            sim_end=end,
-                            parent=parent.span_id,
-                            track=f"node {node}",
-                            outcome=outcome,
-                        )
-                sim_phase.sim(
-                    0.0, max((e for _s, e in intervals.values()), default=0.0)
-                )
-        if obs.metrics.enabled:
-            obs.metrics.counter(
-                "sim_events_total", help="events popped off the simulation heap"
-            ).inc(processed)
-            obs.metrics.counter(
-                "sim_tasks_total", help="tasks driven to completion"
-            ).inc(len(task_map))
-            outcomes = obs.metrics.counter(
-                "fault_attempts_total",
-                help="task attempts by outcome",
-                labelnames=("outcome",),
-            )
-            for record in log.records:
-                outcomes.inc(outcome=record.outcome)
-            obs.metrics.counter(
-                "sim_migrated_tasks_total",
-                help="tasks re-routed off their home node",
-            ).inc(len(set(migrated)))
-        return SimulationResult(
-            timeline=TaskTimeline(intervals=intervals, tasks=realized),
-            events_processed=processed,
-            attempts_histogram=log.histogram(),
-            wasted_seconds=log.wasted_seconds,
-            dead_nodes=sorted(dead, key=repr),
-            blacklisted_nodes=blacklist.nodes,
-            migrated_tasks=sorted(set(migrated)),
             cancelled_tasks=cancelled,
         )

@@ -11,15 +11,24 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import DataNet, HDFSCluster
 from repro.cli import main
 from repro.core.metastore import DistributedMetaStore
-from repro.errors import ConfigError, SchedulingError
+from repro.errors import (
+    ConfigError,
+    ReplicationError,
+    SchedulingError,
+    TaskAttemptError,
+)
 from repro.faults import (
     ChaosRunner,
+    FaultInjector,
     FaultPlan,
     MetaOutage,
     NodeCrash,
@@ -30,17 +39,18 @@ from repro.faults import (
     merge_assignments,
 )
 from repro.mapreduce.apps.word_count import word_count_job
+from repro.obs import Observability
 from tests.conftest import make_records
 
 
-def _fresh(num_nodes=8, seed=11):
+def _fresh(num_nodes=8, seed=11, records=None):
     cluster = HDFSCluster(
         num_nodes=num_nodes,
         block_size=2048,
         replication=3,
         rng=np.random.default_rng(seed),
     )
-    recs = make_records({"hot": 150, "cold": 50}, payload_len=30)
+    recs = records or make_records({"hot": 150, "cold": 50}, payload_len=30)
     dataset = cluster.write_dataset("d", recs)
     return cluster, dataset
 
@@ -119,6 +129,117 @@ class TestCrashRecovery:
         assert summary.dead_nodes == 1
         text = report.format()
         assert "Recovery summary" in text and "attempts" in text
+
+
+def _traced(plan, *, retry=None, injector=None, records=None):
+    """A traced run; ``injector`` replaces the plan's fault oracle."""
+    cluster, dataset = _fresh(records=records)
+    obs = Observability.create()
+    runner = ChaosRunner(cluster, plan, retry=retry or RetryPolicy(), obs=obs)
+    if injector is not None:
+        runner.injector = injector
+    return runner.run(dataset, "hot", word_count_job()), obs
+
+
+def _attempts(obs, bid, outcome=None):
+    """Attempt spans of block ``bid``'s selection task, in record order."""
+    return [
+        s
+        for s in obs.tracer.find(category="attempt")
+        if s.name.startswith(f"sel/d/{bid}#")
+        and (outcome is None or s.attrs["outcome"] == outcome)
+    ]
+
+
+class TestRecoveryLoop:
+    """The attempt lifecycle of the recovery loop, end to end."""
+
+    def test_lost_blocks_wait_for_the_heartbeat(self):
+        crash = NodeCrash(2, time=0.3)
+        policy = RetryPolicy(heartbeat_timeout_s=3.0)
+        report, obs = _traced(FaultPlan(seed=3, crashes=(crash,)), retry=policy)
+        assert report.rescheduled_blocks
+        assert report.output_matches_baseline
+        starts = [
+            s.sim_start
+            for bid in report.rescheduled_blocks
+            for s in _attempts(obs, bid)
+            if s.attrs["track"] != "node 2"
+        ]
+        assert min(starts) >= crash.time + policy.heartbeat_timeout_s
+
+    def test_retry_budget_exhaustion_raises(self):
+        plan = FaultPlan(transient=TransientFaults(0.999999))
+        with pytest.raises(TaskAttemptError):
+            _run(plan, retry=RetryPolicy(max_attempts=2, blacklist_after=1000))
+
+    def test_losing_every_node_raises(self):
+        plan = FaultPlan(
+            crashes=tuple(NodeCrash(n, time=0.1 * (n + 1)) for n in range(8))
+        )
+        with pytest.raises(ReplicationError):
+            _run(plan)
+
+    @pytest.mark.parametrize(
+        "blacklist_after, benched", [(2, [0]), (1000, [])], ids=["benched", "control"]
+    )
+    def test_blacklisted_node_gets_no_rescheduled_block(
+        self, blacklist_after, benched
+    ):
+        class FirstTryFailsOnZero(FaultInjector):
+            def attempt_fails(self, task_key, attempt, node):
+                return node == 0 and attempt == 1
+
+        plan = FaultPlan(
+            seed=1,
+            crashes=(NodeCrash(1, time=3.0),),
+            transient=TransientFaults(0.5),
+        )
+        report, obs = _traced(
+            plan,
+            retry=RetryPolicy(blacklist_after=blacklist_after),
+            injector=FirstTryFailsOnZero(plan),
+            records=make_records({"hot": 1000, "cold": 300}, payload_len=30),
+        )
+        assert report.blacklisted_nodes == benched
+        assert report.output_matches_baseline
+        ran_on = {
+            span.attrs["track"]
+            for bid in report.rescheduled_blocks
+            for span in _attempts(obs, bid, "ok")
+        }
+        # node 0 takes a share of the lost work unless it is benched
+        assert ("node 0" in ran_on) == (not benched)
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 2),
+        st.floats(0.0, 0.2),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_property_random_plans_recover_exactly(self, seed, crashes, flaky):
+        plan = FaultPlan.random(
+            seed,
+            list(range(8)),
+            crash_count=crashes,
+            crash_horizon_s=2.0,
+            flaky_probability=flaky,
+        )
+        retry = RetryPolicy(max_attempts=25)
+        report = _run(plan, retry=retry)
+        _cluster, dataset = _fresh()
+        target = Counter(
+            r for bid in dataset.placement() for r in dataset.block(bid).filter("hot")
+        )
+        selected = Counter(
+            r for recs in report.job.selection.local_data.values() for r in recs
+        )
+        assert selected == target and set(target.values()) == {1}
+        assert report.output_matches_baseline
+        again = _run(plan, retry=retry)
+        assert again.job == report.job
+        assert again.attempts_histogram == report.attempts_histogram
+        assert again.wasted_seconds == report.wasted_seconds
 
 
 class TestMetastoreDegradation:

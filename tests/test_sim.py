@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
 
 import pytest
@@ -27,6 +29,48 @@ def _t(tid, node=0, dur=1.0, deps=(), kind="task", job="j", release=0.0):
         job=job,
         release_time=release,
     )
+
+
+def _reference_intervals(tasks, slots):
+    """The simulator's semantics as a plain loop over string task ids.
+
+    One event heap ordered by (time, push sequence); each node runs its
+    ready tasks by (ready time, task id) on ``slots`` slots.  Intervals are
+    recorded in start order.
+    """
+    by_id = {t.task_id: t for t in tasks}
+    waiting = {tid: set(t.deps) for tid, t in by_id.items()}
+    successors = {tid: [] for tid in by_id}
+    for tid, task in by_id.items():
+        for dep in task.deps:
+            successors[dep].append(tid)
+    free = {t.node: slots for t in tasks}
+    ready = {node: [] for node in free}
+    seq = itertools.count()
+    events = [
+        (t.release_time, next(seq), "ready", t.task_id) for t in tasks if not t.deps
+    ]
+    heapq.heapify(events)
+    intervals = {}
+    while events:
+        now, _seq, kind, tid = heapq.heappop(events)
+        node = by_id[tid].node
+        if kind == "ready":
+            heapq.heappush(ready[node], (now, tid))
+        else:
+            free[node] += 1
+            for succ in successors[tid]:
+                waiting[succ].discard(tid)
+                if not waiting[succ]:
+                    ready_at = max(now, by_id[succ].release_time)
+                    heapq.heappush(events, (ready_at, next(seq), "ready", succ))
+        while free[node] and ready[node]:
+            _ready_at, started = heapq.heappop(ready[node])
+            free[node] -= 1
+            end = now + by_id[started].duration
+            intervals[started] = (now, end)
+            heapq.heappush(events, (end, next(seq), "finish", started))
+    return intervals
 
 
 class TestEventLoop:
@@ -124,7 +168,11 @@ class TestEventLoop:
 
     @given(
         st.lists(
-            st.tuples(st.integers(0, 3), st.floats(0.0, 10.0)),
+            st.tuples(
+                st.integers(0, 3),
+                st.floats(0.0, 10.0),
+                st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+            ),
             min_size=1,
             max_size=25,
         ),
@@ -132,19 +180,25 @@ class TestEventLoop:
     )
     @settings(max_examples=40, deadline=None)
     def test_property_chain_graph_consistent(self, specs, slots):
-        """Random chain graphs: every task runs after its dep, makespan is
-        at least the critical path and at most the serial sum."""
+        """Random chain graphs with release times: the realized intervals
+        equal the plain reference loop's, in values and insertion order;
+        every task runs after its dep and its release; the makespan is at
+        most the latest release plus the serial sum."""
         tasks = []
         prev = None
-        for i, (node, dur) in enumerate(specs):
+        for i, (node, dur, release) in enumerate(specs):
             deps = {prev} if prev is not None and i % 2 == 0 else set()
             tid = f"t{i}"
-            tasks.append(_t(tid, node=node, dur=dur, deps=deps))
+            tasks.append(_t(tid, node=node, dur=dur, deps=deps, release=release))
             prev = tid
         r = DiscreteEventSimulator(slots_per_node=slots).run(tasks)
-        total = sum(d for _n, d in specs)
-        assert r.makespan <= total + 1e-6
+        assert list(r.timeline.intervals.items()) == list(
+            _reference_intervals(tasks, slots).items()
+        )
+        total = sum(d for _n, d, _r in specs)
+        assert r.makespan <= max(rel for _n, _d, rel in specs) + total + 1e-6
         for task in tasks:
+            assert r.timeline.start_of(task.task_id) >= task.release_time
             for dep in task.deps:
                 assert (
                     r.timeline.start_of(task.task_id)

@@ -307,13 +307,6 @@ class TestBenchRecord:
                     "scalar_updates_per_s": 1.0,
                     "speedup": 2.0,
                 },
-                "simulator": {
-                    "tasks": 10,
-                    "events": 20,
-                    "events_per_s": 2.0,
-                    "reference_events_per_s": 1.0,
-                    "speedup": 2.0,
-                },
                 "scheduling": {
                     "blocks": 10,
                     "cached_graphs_per_s": 2.0,
@@ -326,16 +319,22 @@ class TestBenchRecord:
     def test_valid_record_passes(self):
         assert validate_record(self._record()) == []
 
+    def test_retired_section_still_validates(self):
+        """Committed records keep sections the suite no longer runs."""
+        old = self._record()
+        old["results"]["simulator"] = {"tasks": 10, "speedup": 2.0}
+        assert validate_record(old) == []
+
     def test_schema_violations_reported(self):
         bad = self._record()
         bad["schema"] = "bench-core/v0"
         bad["seed"] = "not-an-int"
-        del bad["results"]["simulator"]
+        del bad["results"]["scheduling"]
         bad["results"]["countmin"]["speedup"] = "fast"
         problems = validate_record(bad)
         assert any("schema" in p for p in problems)
         assert any("seed" in p for p in problems)
-        assert any("simulator" in p for p in problems)
+        assert any("scheduling" in p for p in problems)
         assert any("countmin.speedup" in p for p in problems)
         assert validate_record([]) != []
 

@@ -408,6 +408,19 @@ def _coding_spec(value, num_nodes: int):
     return validate_coding(parse_coding(value), num_nodes)
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer ``>= low``: a bad count exits 2 while
+    the arguments are parsed, before any data is generated."""
+
+    def count(value: str) -> int:
+        number = int(value)  # argparse reports a ValueError as "invalid count"
+        if number < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {number}")
+        return number
+
+    return count
+
+
 def _parse_node_block(value: str, what: str) -> tuple:
     """Parse ``NODE@BLOCK`` (e.g. ``2@5``) into ``(int node, int block)``."""
     node_s, sep, block_s = value.partition("@")
@@ -462,9 +475,8 @@ def _fault_plan(args: argparse.Namespace):
         NetworkPartition(rack=rack, nodes=nodes, start=s, heals_at=h)
         for rack, nodes, s, h in (_parse_partition_spec(v) for v in flag("partition"))
     )
-    transient = (
-        TransientFaults(probability=args.flaky) if args.flaky > 0 else None
-    )
+    # Any non-zero value builds the fault, so its own range check runs.
+    transient = TransientFaults(probability=args.flaky) if args.flaky else None
     outages = tuple(MetaOutage(node_id) for node_id in flag("meta_down"))
     bit_rots = tuple(
         BitRot(node, block)
@@ -679,7 +691,6 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     from .experiments.config import ReferenceConfig
     from .experiments.rebalance import WORKLOADS, run_rebalance_comparison
     from .obs import NULL_OBS, Observability
-    from .rebalance import check_plan_invariants
 
     cfg = ReferenceConfig() if args.full else ReferenceConfig.small()
     obs = Observability.create() if args.obs else NULL_OBS
@@ -844,9 +855,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs.export import validate_chrome_trace_file
     from .units import parse_size
 
-    faulty = bool(
-        args.kill or args.slow or args.flaky > 0 or args.bitrot or args.stale
-    )
+    faulty = bool(args.kill or args.slow or args.flaky or args.bitrot or args.stale)
     plan = _fault_plan(args) if faulty else None
     if plan is not None:
         plan.validate_targets(range(args.nodes))
@@ -957,7 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.set_defaults(func=_cmd_query)
 
     p_theory = sub.add_parser("theory", help="Section II-B probability analysis")
-    p_theory.add_argument("--trials", type=int, default=200)
+    p_theory.add_argument("--trials", type=_int_at_least(1), default=200)
     p_theory.set_defaults(func=_cmd_theory)
 
     p_plan = sub.add_parser(
@@ -978,7 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chaos.add_argument("--nodes", type=int, default=8)
     p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument("-n", "--records", type=int, default=20_000)
+    p_chaos.add_argument("-n", "--records", type=_int_at_least(1), default=20_000)
     p_chaos.add_argument("-k", "--keys", type=int, default=200, help="movies")
     p_chaos.add_argument("--block-size", default="64kb")
     p_chaos.add_argument("--alpha", type=float, default=0.3)
@@ -1146,7 +1155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--journal-replicas", type=int, default=1, metavar="N",
         help="replicate the metadata journal across N replicas and commit "
-        "frames at majority quorum (1 keeps the single local journal)",
+        "frames at majority quorum (1 is a quorum of one)",
     )
     p_serve.add_argument(
         "--leader-crash", action="store_true",
@@ -1196,7 +1205,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rot the replica of BLOCK on NODE (repeatable), e.g. --rot 2@0",
     )
     p_scrub.add_argument(
-        "--corrupt", type=int, default=0, metavar="N",
+        "--corrupt", type=_int_at_least(0), default=0, metavar="N",
         help="additionally rot N seeded-random replicas",
     )
     p_scrub.add_argument(
@@ -1239,7 +1248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--out", required=True, help="artifact directory")
     p_trace.add_argument("--nodes", type=int, default=8)
     p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.add_argument("-n", "--records", type=int, default=20_000)
+    p_trace.add_argument("-n", "--records", type=_int_at_least(1), default=20_000)
     p_trace.add_argument(
         "-k", "--keys", type=int, default=200,
         help="movies/matches for keyed workloads",

@@ -20,7 +20,7 @@ Three pieces, used in sequence::
 See :mod:`~repro.rebalance.costmodel` for the objective,
 :mod:`~repro.rebalance.planner` for the seed-deterministic annealer and
 its invariants, and :mod:`~repro.rebalance.executor` for the
-journal-aware apply path.  ``repro rebalance`` runs the three-way
+crash-safe apply path.  ``repro rebalance`` runs the three-way
 comparison experiment from the command line.
 """
 

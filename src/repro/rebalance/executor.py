@@ -1,14 +1,9 @@
 """Background executor: apply a :class:`RebalancePlan` move by move.
 
-The executor is the only component that touches live state, and it does
-so with the same discipline the serve daemon uses for ingest:
+The executor is the only component that touches live state.  Moves never
+change sub-dataset contents, only block → node edges, so the ElasticMap
+needs no update; two disciplines keep the layout itself safe:
 
-* **journal first** — when wired to a :class:`~repro.serve.journal.
-  MetadataJournal`, each moved block's ElasticMap frame is committed
-  *before* the placement mutation (write-ahead).  Moves never change
-  sub-dataset contents, only block → node edges, so the journal's replay
-  remains byte-identical; the append is idempotent (already-committed
-  blocks write nothing).
 * **idempotent moves** — each move is applied through
   :meth:`~repro.hdfs.cluster.HDFSCluster.move_replica` /
   :meth:`~repro.hdfs.cluster.HDFSCluster.move_fragment`, and re-applying
@@ -79,30 +74,21 @@ class RebalanceExecutor:
 
     Args:
         cluster: the cluster to mutate.
-        datanet: optional resident metadata; needed only when ``journal``
-            is given (frames are read from its ElasticMap).
-        journal: optional write-ahead journal (the serve daemon's) that
-            must hold each moved block's frame before its move lands.
+        epoch: fencing token stamped into every mutation; a deposed
+            leader's executor is rejected by the cluster fence (``None``
+            skips the check).
     """
 
     def __init__(
         self,
         cluster: HDFSCluster,
         *,
-        datanet: Optional["object"] = None,
-        journal: Optional["object"] = None,
         epoch: Optional[int] = None,
         obs: Observability = NULL_OBS,
     ) -> None:
-        if journal is not None and datanet is None:
-            raise ConfigError("journaled execution needs the datanet too")
         if epoch is not None and epoch < 0:
             raise ConfigError(f"fencing epoch must be non-negative, got {epoch}")
         self.cluster = cluster
-        self.datanet = datanet
-        self.journal = journal
-        # Fencing token stamped into every mutation this executor applies;
-        # a deposed leader's executor is rejected by the cluster fence.
         self.epoch = epoch
         self.obs = obs
 
@@ -159,11 +145,6 @@ class RebalanceExecutor:
             block = self.cluster.get_block(move.dataset, move.block_id)
             dst_node.store_replica(move.dataset, block)
 
-    def _journal_move(self, move: Move) -> None:
-        if self.journal is None:
-            return
-        self.journal.append_block(self.datanet.elasticmap[move.block_id])
-
     # -- plan application -----------------------------------------------------------
 
     def apply(
@@ -193,14 +174,12 @@ class RebalanceExecutor:
             for i, move in enumerate(plan.moves):
                 if crash_at_move is not None and i == crash_at_move:
                     if torn:
-                        self._journal_move(move)
                         self._store_dst_only(move)
                     return report
                 state = self._move_state(move)
                 if state == "done":
                     report.skipped += 1
                     continue
-                self._journal_move(move)
                 if state == "torn":
                     self._complete_torn(move)
                 elif move.fragment_index is not None:

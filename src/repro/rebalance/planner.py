@@ -25,7 +25,9 @@ Three invariants gate every proposal:
 
 The emitted :class:`RebalancePlan` is the net per-block diff between the
 original and final layouts — the minimal move list an executor must
-apply — never the accept/reject history of the walk.
+apply — never the accept/reject history of the walk.  Before it is
+returned, :func:`check_plan_invariants` replays it against the layout the
+search started from, so no caller ever applies an unchecked plan.
 """
 
 from __future__ import annotations
@@ -200,9 +202,19 @@ class RebalancePlanner:
     # -- planning -----------------------------------------------------------------
 
     def plan(self) -> RebalancePlan:
-        """Run the annealing search and emit the net-diff plan."""
+        """Run the annealing search and emit the net-diff plan.
+
+        Raises:
+            ConfigError: the plan breaks an invariant of
+                :func:`check_plan_invariants` on the starting layout.
+        """
+        cluster = self.dataset.cluster
         with self.obs.tracer.span("rebalance/plan", category="rebalance"):
-            plan = self._plan_inner()
+            start = self.dataset.placement()
+            plan = self._plan_inner(start)
+            check_plan_invariants(
+                plan, start, num_racks=cluster.num_racks, rack_of=cluster.rack_of
+            )
         if self.obs.metrics.enabled:
             self.obs.metrics.gauge(
                 "rebalance_cost_before", help="layout cost before rebalancing"
@@ -212,12 +224,12 @@ class RebalancePlanner:
             ).set(plan.cost_after)
         return plan
 
-    def _plan_inner(self) -> RebalancePlan:
+    def _plan_inner(self, placement: Mapping[int, Sequence[int]]) -> RebalancePlan:
         view = self.dataset
         coding = view.coding
         coded = coding is not None
         orig: Dict[int, Tuple[int, ...]] = {
-            bid: tuple(holders) for bid, holders in view.placement().items()
+            bid: tuple(holders) for bid, holders in placement.items()
         }
         cur: Dict[int, List[int]] = {bid: list(orig[bid]) for bid in orig}
         candidates = [b for b in self.model.candidate_blocks() if b in cur]

@@ -1,9 +1,8 @@
 """Quorum-replicated write-ahead journal for the metadata plane.
 
-The PR 8 :class:`~repro.serve.journal.MetadataJournal` is a single copy
-behind a single implicit leader — one lost process and the committed
-metadata is gone with it.  This module replaces that with the HDFS
-JournalNode / Raft-log shape:
+The analysis service commits every indexed block's ElasticMap here
+before it counts as durable, at every replica count: one replica is a
+quorum of one.  The journal has the HDFS JournalNode / Raft-log shape:
 
 * every committed frame carries a monotonic ``(epoch, seq)`` pair —
   ``epoch`` is the writing leader's fencing token, ``seq`` a dense
@@ -79,11 +78,10 @@ class QuorumFrame:
 def read_frames(blob: bytes) -> Tuple[List[QuorumFrame], int]:
     """Parse a replica log; returns ``(frames, torn_bytes)``.
 
-    The same torn-tail discipline as the single journal: an incomplete or
-    checksum-failing *final* frame is a crash artifact and a clean stop,
-    while a corrupt frame with committed frames behind it raises
-    :class:`~repro.errors.TornFrameError` (dropping it would silently
-    lose committed records).
+    An incomplete or checksum-failing *final* frame is a crash artifact
+    and a clean stop, while a corrupt frame with committed frames behind
+    it raises :class:`~repro.errors.TornFrameError` (dropping it would
+    silently lose committed records).
     """
     if blob[: len(MAGIC)] != MAGIC:
         raise ConfigError("not a replicated journal (bad magic)")
@@ -227,13 +225,12 @@ class JournalReplica:
 class ReplicatedJournal:
     """Leader-side quorum journal over N :class:`JournalReplica` logs.
 
-    Exposes the same surface the serve daemon already journals through
-    (``append_block`` / ``append_array`` / ``record_count`` /
-    ``committed_blocks``), plus the replication verbs: ``fence`` a new
-    epoch onto a majority, ``crash_replica``/``restore_replica``/
-    ``partition``/``heal`` for fault drills, and ``recover`` to rebuild
-    the committed state from any surviving majority after the leader
-    itself dies.
+    The serve daemon journals through ``append_block`` /
+    ``append_array`` and reads ``record_count`` / ``committed_blocks``.
+    The replication verbs: ``fence`` a new epoch onto a majority,
+    ``crash_replica``/``restore_replica``/``partition``/``heal`` for
+    fault drills, and ``recover`` to rebuild the committed state from
+    any surviving majority after the driver or the leader dies.
     """
 
     def __init__(self, num_replicas: int) -> None:
@@ -347,7 +344,7 @@ class ReplicatedJournal:
         ``epoch`` defaults to the last fenced epoch; a deposed leader
         still holding an older token passes it explicitly and is
         rejected.  Returns False when the block is already committed
-        (idempotent replay, exactly like the single journal).
+        (idempotent replay: re-indexing a journaled block writes nothing).
 
         Raises:
             StaleLeaderError: a newer epoch has been fenced; this writer
@@ -449,7 +446,9 @@ class ReplicatedJournal:
         frame was acked by a majority, and logs are dense prefixes, so
         any majority's longest log contains all of them — then
         anti-entropies the rest of the quorum up to it.  First commit
-        per block wins, mirroring single-journal replay idempotence.
+        per block wins, so replay is idempotent.  This is the one crash
+        recovery path: a restarted driver and an elected successor both
+        read committed state back through it.
 
         Raises:
             QuorumLostError: fewer than a majority of replicas reachable.

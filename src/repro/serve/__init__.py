@@ -2,12 +2,12 @@
 
 The serving layer stacks on the batch machinery: admission control and
 weighted fair queueing (:mod:`repro.serve.admission`), a write-ahead
-journal for crash-safe incremental metadata (:mod:`repro.serve.journal`),
-and the driver event loop with deadlines, crash recovery, and graceful
-degradation (:mod:`repro.serve.service`).  With ``journal_replicas > 1``
-the journal is quorum-replicated and the leader role survives crashes
-via fenced failover (:mod:`repro.replication`).  :mod:`repro.serve.scenario`
-packages deterministic drills for the CLI, CI soak, and tests.
+quorum journal for crash-safe incremental metadata
+(:class:`~repro.replication.ReplicatedJournal`, a quorum of one at the
+default single replica), and the driver event loop with deadlines, crash
+recovery, fenced leader failover, and graceful degradation
+(:mod:`repro.serve.service`).  :mod:`repro.serve.scenario` packages
+deterministic drills for the CLI, CI soak, and tests.
 """
 
 from .admission import (
@@ -16,7 +16,7 @@ from .admission import (
     TokenBucket,
     WeightedFairQueue,
 )
-from .journal import MetadataJournal, ReplayResult, array_digest
+from .journal import array_digest
 from .scenario import DrillConfig, DrillSetup, build_drill, run_service_drill
 from .service import (
     AnalysisService,
@@ -34,8 +34,6 @@ __all__ = [
     "DrillSetup",
     "JobRequest",
     "MetaOutageWindow",
-    "MetadataJournal",
-    "ReplayResult",
     "ServiceConfig",
     "TenantSpec",
     "TokenBucket",

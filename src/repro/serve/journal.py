@@ -1,57 +1,25 @@
-"""Write-ahead journal for incremental ElasticMap metadata.
+"""The metadata digest the service's crash oracles compare.
 
-The analysis service keeps its metadata resident and extends it as blocks
-stream in; a driver crash must never cost committed metadata nor leave it
-half-applied.  The journal is the PR 2 checkpoint story carried from
-waves to metadata: every indexed block's serialized
-:class:`~repro.core.elasticmap.BlockElasticMap` is framed and appended
-*before* the in-memory state is considered durable, and recovery replays
-the journal to rebuild the exact array.
-
-Frame layout (all little-endian)::
-
-    magic   b"RPJ1"                      (file header, once)
-    frame   u32 payload length | u8 kind | u64 block id
-            payload bytes
-            u64 blake2b(header + payload) checksum
-
-A crash can truncate the tail mid-frame; :meth:`MetadataJournal.replay`
-stops at the first torn *final* frame and returns only the committed
-prefix — replay is *idempotent* (duplicate frames for a block are
-ignored; the first committed copy wins) and rebuilding the blocks the
-torn tail lost from the stored dataset reproduces byte-identical entries,
-because ElasticMap construction is deterministic per block.
-
-Corruption and truncation are deliberately distinguished: a bad frame at
-the very end of the log is a crash artifact (the write was cut short) and
-a clean stop, but a checksum-failing frame with committed frames *after*
-it means mid-log corruption — silently truncating there would throw away
-committed records.  Replay raises a typed
-:class:`~repro.errors.TornFrameError` for that case, carrying the byte
-offset and both checksums so repair tooling can point at the damage.
+The analysis service journals every indexed block through
+:class:`~repro.replication.ReplicatedJournal` at every replica count:
+one replica is a quorum of one.  That module owns the one frame codec
+(``RPQ1``) and its torn-tail rule.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
 
-from ..core.elasticmap import BlockElasticMap, ElasticMapArray
-from ..errors import ConfigError, TornFrameError
+from ..core.elasticmap import ElasticMapArray
+from ..replication.journal import ReplicatedJournal
 
-__all__ = ["MetadataJournal", "ReplayResult", "array_digest"]
+__all__ = ["array_digest"]
 
-MAGIC = b"RPJ1"
-KIND_BLOCK = 1
-_FRAME_HEAD = struct.Struct("<IBQ")
-_CHECKSUM = struct.Struct("<Q")
-
-
-def _frame_checksum(head: bytes, payload: bytes) -> int:
-    digest = hashlib.blake2b(head + payload, digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+#: The benchmark's span installer (``benchmarks/e2e/spans.py``) still
+#: looks its ``serve.journal`` hooks up under this name; it goes when
+#: those hooks move into :mod:`repro.obs`.
+MetadataJournal = ReplicatedJournal
 
 
 def array_digest(array: ElasticMapArray) -> str:
@@ -66,183 +34,3 @@ def array_digest(array: ElasticMapArray) -> str:
         h.update(struct.pack("<QI", block_id, len(blob)))
         h.update(blob)
     return h.hexdigest()
-
-
-@dataclass
-class ReplayResult:
-    """What a journal replay recovered.
-
-    Attributes:
-        entries: block id → committed payload, first commit wins.
-        records: committed frames read (duplicates included).
-        duplicates: frames ignored because their block was already
-            committed (the idempotence counter).
-        torn_bytes: bytes of torn/corrupt tail discarded.
-    """
-
-    entries: Dict[int, bytes]
-    records: int
-    duplicates: int
-    torn_bytes: int
-
-    def to_array(self, **kwargs: object) -> ElasticMapArray:
-        """Deserialize the committed entries into a fresh array."""
-        return ElasticMapArray(
-            [
-                BlockElasticMap.from_bytes(self.entries[bid], **kwargs)
-                for bid in sorted(self.entries)
-            ]
-        )
-
-
-class MetadataJournal:
-    """Append-only byte log of committed per-block metadata."""
-
-    def __init__(self) -> None:
-        self._buf = bytearray(MAGIC)
-        self._records = 0
-        self._committed: set = set()
-
-    # -- writing ---------------------------------------------------------------
-
-    def append_block(self, block_map: BlockElasticMap) -> bool:
-        """Commit one block's metadata; False when already journaled.
-
-        Skipping re-commits keeps recovery idempotent: re-indexing a block
-        the journal already holds (a replayed append) writes nothing.
-        """
-        if block_map.block_id in self._committed:
-            return False
-        payload = block_map.to_bytes()
-        head = _FRAME_HEAD.pack(len(payload), KIND_BLOCK, block_map.block_id)
-        self._buf += head
-        self._buf += payload
-        self._buf += _CHECKSUM.pack(_frame_checksum(head, payload))
-        self._records += 1
-        self._committed.add(block_map.block_id)
-        return True
-
-    def append_array(self, array: ElasticMapArray) -> int:
-        """Commit every block of an array (the initial snapshot); returns
-        the number of frames written."""
-        return sum(1 for bm in array if self.append_block(bm))
-
-    @property
-    def record_count(self) -> int:
-        return self._records
-
-    @property
-    def committed_blocks(self) -> List[int]:
-        return sorted(self._committed)
-
-    def to_bytes(self) -> bytes:
-        return bytes(self._buf)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    # -- recovery --------------------------------------------------------------
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "MetadataJournal":
-        """Reopen a journal from its durable bytes, dropping any torn tail."""
-        replayed = cls.replay(blob)
-        journal = cls()
-        for bid in sorted(replayed.entries):
-            payload = replayed.entries[bid]
-            head = _FRAME_HEAD.pack(len(payload), KIND_BLOCK, bid)
-            journal._buf += head
-            journal._buf += payload
-            journal._buf += _CHECKSUM.pack(_frame_checksum(head, payload))
-            journal._records += 1
-            journal._committed.add(bid)
-        return journal
-
-    @staticmethod
-    def frame_offsets(blob: bytes) -> List[int]:
-        """Byte offsets of every committed frame boundary (crash points).
-
-        ``offsets[k]`` is the journal length after exactly ``k`` committed
-        records — the property tests truncate at (and between) these to
-        model a crash at any record boundary.  Frames are checksum-verified
-        while walking: a corrupt or torn *final* frame simply ends the
-        walk, but a corrupt frame with committed frames after it raises
-        :class:`~repro.errors.TornFrameError` (see :meth:`replay`).
-        """
-        offsets = [len(MAGIC)]
-        pos = len(MAGIC)
-        n = len(blob)
-        while pos + _FRAME_HEAD.size <= n:
-            length, kind, _bid = _FRAME_HEAD.unpack_from(blob, pos)
-            body_end = pos + _FRAME_HEAD.size + length
-            end = body_end + _CHECKSUM.size
-            if end > n:
-                break
-            payload = bytes(blob[pos + _FRAME_HEAD.size : body_end])
-            (stored,) = _CHECKSUM.unpack_from(blob, body_end)
-            computed = _frame_checksum(bytes(blob[pos : pos + _FRAME_HEAD.size]), payload)
-            if kind != KIND_BLOCK or stored != computed:
-                if end < n:
-                    raise TornFrameError(
-                        f"corrupt non-final journal frame at offset {pos} "
-                        f"(expected checksum {stored:#018x}, got {computed:#018x})",
-                        offset=pos,
-                        expected_checksum=stored,
-                        actual_checksum=computed,
-                    )
-                break
-            pos = end
-            offsets.append(pos)
-        return offsets
-
-    @staticmethod
-    def replay(blob: bytes) -> ReplayResult:
-        """Parse committed frames; a torn or corrupt *tail* is discarded.
-
-        Raises:
-            ConfigError: when the magic header itself is wrong — that is
-                not a torn write but the wrong file.
-            TornFrameError: a checksum-failing frame has committed frames
-                after it (mid-log corruption, not a crash artifact) —
-                truncating there would silently lose committed records.
-        """
-        if blob[: len(MAGIC)] != MAGIC:
-            raise ConfigError("not a metadata journal (bad magic)")
-        entries: Dict[int, bytes] = {}
-        records = 0
-        duplicates = 0
-        pos = len(MAGIC)
-        n = len(blob)
-        while pos + _FRAME_HEAD.size <= n:
-            length, kind, block_id = _FRAME_HEAD.unpack_from(blob, pos)
-            body_start = pos + _FRAME_HEAD.size
-            body_end = body_start + length
-            frame_end = body_end + _CHECKSUM.size
-            if frame_end > n:
-                break  # torn tail: the crash cut the final frame short
-            payload = bytes(blob[body_start:body_end])
-            (stored,) = _CHECKSUM.unpack_from(blob, body_end)
-            head = blob[pos : pos + _FRAME_HEAD.size]
-            computed = _frame_checksum(bytes(head), payload)
-            if kind != KIND_BLOCK or stored != computed:
-                if frame_end < n:
-                    raise TornFrameError(
-                        f"corrupt non-final journal frame at offset {pos} "
-                        f"(expected checksum {stored:#018x}, got {computed:#018x})",
-                        offset=pos,
-                        expected_checksum=stored,
-                        actual_checksum=computed,
-                    )
-                break  # corrupt final frame: torn in-place write, clean stop
-            if block_id in entries:
-                duplicates += 1
-            else:
-                entries[block_id] = payload
-            records += 1
-            pos = frame_end
-        return ReplayResult(
-            entries=entries,
-            records=records,
-            duplicates=duplicates,
-            torn_bytes=n - pos,
-        )

@@ -97,8 +97,8 @@ class DrillConfig:
         rebalance_budget: migration-byte budget (fraction of dataset
             bytes) for a background rebalance pass run before the drill;
             0.0 (the default) skips it, keeping legacy digests intact.
-        journal_replicas: metadata-journal copies; >1 turns on the
-            quorum-replicated plane.
+        journal_replicas: copies of the quorum metadata journal; 1 is a
+            quorum of one.
         leader_crash: kill the metadata leader mid-drill and fail over
             to an elected successor (parks + replays, never sheds).
         journal_crash: kill one journal replica mid-drill (restored

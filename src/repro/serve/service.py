@@ -14,9 +14,10 @@ clock.  Four layers stack on the existing building blocks:
    tracer's mark/discard machinery and the job resolves to a typed
    cancellation at its limit, releasing its slot.
 3. **Crash-safe ingest** — streamed appends are indexed incrementally
-   and journaled block by block (:class:`~repro.serve.journal.MetadataJournal`)
+   and journaled block by block (:class:`~repro.replication.ReplicatedJournal`)
    before they count as durable.  A :class:`~repro.faults.ServiceCrash`
-   kills the driver mid-append: recovery replays the journal, re-indexes
+   kills the driver mid-append: the journal replicas outlive it, so
+   recovery reads the committed blocks back from a quorum, re-indexes
    the uncommitted tail from the (durable) data plane, and the resulting
    metadata is byte-identical to an uninterrupted run.
 4. **Graceful degradation** — a gray partition routes dispatches through
@@ -24,10 +25,9 @@ clock.  Four layers stack on the existing building blocks:
    parked until the heal), and a metadata-shard outage falls back to
    :func:`~repro.faults.degrade.degraded_schedule`; both keep the
    service admitting at reduced QoS instead of failing closed.
-5. **Replicated metadata plane** — with ``journal_replicas > 1`` (or any
-   metadata-plane fault in the plan) the write-ahead journal becomes a
-   :class:`~repro.replication.ReplicatedJournal` committing each frame
-   at majority quorum, and a :class:`~repro.replication.LeaderElector`
+5. **Replicated metadata plane** — the write-ahead journal commits each
+   frame at majority quorum over ``journal_replicas`` copies (one replica
+   is a quorum of one), and a :class:`~repro.replication.LeaderElector`
    owns the leader role.  A :class:`~repro.faults.LeaderCrash` kills
    only that role: the φ-accrual detector takes its deterministic time
    to suspect the silence, an election fences a new epoch onto the
@@ -70,7 +70,7 @@ from ..metrics.service import ServiceSummary
 from ..obs import NULL_OBS, Observability
 from ..sim import DiscreteEventSimulator, JobGraphBuilder
 from .admission import AdmissionController, TenantSpec
-from .journal import MetadataJournal, array_digest
+from .journal import array_digest
 
 __all__ = [
     "AnalysisService",
@@ -167,11 +167,8 @@ class ServiceConfig:
         ingest_block_cost_s: simulated seconds to index + journal one
             appended block — the window a :class:`~repro.faults.ServiceCrash`
             can land inside.
-        journal_replicas: journal copies behind the metadata plane.  1
-            (the default) keeps the legacy single
-            :class:`~repro.serve.journal.MetadataJournal`; higher values
-            (or any metadata-plane fault in the plan) switch to the
-            quorum-replicated plane.
+        journal_replicas: copies of the quorum journal behind the
+            metadata plane; 1 (the default) is a quorum of one.
         heartbeat_interval_s: leader heartbeat cadence feeding the
             φ-accrual detector — sets how long a leader crash stays
             undetected.
@@ -318,44 +315,29 @@ class AnalysisService:
         self.controller: AdmissionController[JobRequest] = AdmissionController(
             tenants, high_water=self.config.high_water, obs=obs
         )
-        # The journal's first frames snapshot the initial build — recovery
-        # never needs to rescan blocks that predate the service.  Any
-        # metadata-plane fault in the plan forces the replicated plane
-        # even at replica count 1 (leader failover needs the quorum
-        # machinery; a single replica is simply a quorum of one).
-        meta_plane_faults = bool(
-            self.plan.leader_crashes
-            or self.plan.journal_crashes
-            or self.plan.meta_partitions
-        )
-        self._replicated = self.config.journal_replicas > 1 or meta_plane_faults
-        self._elector: Optional[LeaderElector] = None
-        self._epoch = 0
-        if self._replicated:
-            rjournal = ReplicatedJournal(self.config.journal_replicas)
-            for jc in self.plan.journal_crashes:
-                if jc.replica not in rjournal.replicas:
+        self.journal = ReplicatedJournal(self.config.journal_replicas)
+        for jc in self.plan.journal_crashes:
+            if jc.replica not in self.journal.replicas:
+                raise ConfigError(
+                    f"plan crashes unknown journal replica {jc.replica!r}"
+                )
+        for mp in self.plan.meta_partitions:
+            for rid in mp.replicas:
+                if rid not in self.journal.replicas:
                     raise ConfigError(
-                        f"plan crashes unknown journal replica {jc.replica!r}"
+                        f"plan partitions unknown journal replica {rid!r}"
                     )
-            for mp in self.plan.meta_partitions:
-                for rid in mp.replicas:
-                    if rid not in rjournal.replicas:
-                        raise ConfigError(
-                            f"plan partitions unknown journal replica {rid!r}"
-                        )
-            # Startup election seats the first leader and installs its
-            # fencing epoch everywhere before any frame is written.
-            self._elector = LeaderElector(
-                rjournal.replica_ids, seed=self.plan.seed
-            )
-            seated = self._elector.elect(rjournal.replica_ids)
-            self._epoch = seated.term
-            rjournal.fence(self._epoch)
-            cluster.install_fence(self._epoch)
-            self.journal = rjournal
-        else:
-            self.journal = MetadataJournal()
+        # Startup election seats the first leader and installs its
+        # fencing epoch everywhere before any frame is written.
+        self._elector = LeaderElector(
+            self.journal.replica_ids, seed=self.plan.seed
+        )
+        seated = self._elector.elect(self.journal.replica_ids)
+        self._epoch = seated.term
+        self.journal.fence(self._epoch)
+        cluster.install_fence(self._epoch)
+        # The journal's first frames snapshot the initial build — recovery
+        # never needs to rescan blocks that predate the service.
         self.journal.append_array(datanet.elasticmap)
         if self.metastore is not None and not self.metastore.block_ids:
             self.metastore.load_array(datanet.elasticmap)
@@ -745,14 +727,22 @@ class AnalysisService:
             ).inc()
         self._push(now + crash.restart_delay_s, "restart", None)
 
-    def _rebuild_metadata(self, array: ElasticMapArray) -> int:
-        """Re-seat resident metadata from recovered entries.
+    def _recover_metadata(self) -> Tuple[int, int]:
+        """Re-seat resident metadata from the journal quorum.
 
-        Blocks the crash caught before their journal frame landed are
-        re-indexed from the durable data plane — deterministic per block,
-        so the rebuilt array is byte-identical to the uninterrupted one —
-        and journaled now.  Returns the number of re-indexed blocks.
+        The journal replicas are separate processes and outlive the
+        driver and the leader, so a restart and a failover both read
+        committed state back from any quorum.  Blocks the crash caught
+        before their journal frame landed are re-indexed from the durable
+        data plane — deterministic per block, so the rebuilt array is
+        byte-identical to the uninterrupted one — and journaled now.
+        Returns ``(recovered records, re-indexed blocks)``.
         """
+        entries = self.journal.recover()
+        array = ElasticMapArray(
+            [BlockElasticMap.from_bytes(entries[bid]) for bid in sorted(entries)]
+        )
+        self._journal_replays += 1
         needed = (
             self._view.fragments_needed()
             if hasattr(self._view, "fragments_needed")
@@ -772,36 +762,18 @@ class AnalysisService:
                 self._blocks_appended += 1
                 self._meta_put(datanet.elasticmap[bid])
         self.datanet = datanet
-        return readded
+        return len(entries), readded
 
     def _restart(self, now: float) -> None:
         """Rebuild resident metadata from the journal, then resume."""
-        if self._replicated:
-            # The journal replicas are separate processes and survive the
-            # driver: recovery reads committed state back from any quorum.
-            entries = self.journal.recover()
-            array = ElasticMapArray(
-                [
-                    BlockElasticMap.from_bytes(entries[bid])
-                    for bid in sorted(entries)
-                ]
-            )
-            replayed_records = len(entries)
-        else:
-            blob = self.journal.to_bytes()
-            replayed = MetadataJournal.replay(blob)
-            self.journal = MetadataJournal.from_bytes(blob)
-            array = replayed.to_array()
-            replayed_records = replayed.records
-        self._journal_replays += 1
-        readded = self._rebuild_metadata(array)
+        records, readded = self._recover_metadata()
         self._up = True
         self.obs.tracer.record(
             "service/recovery",
             category="service",
             sim_start=now,
             sim_end=now,
-            replayed_records=replayed_records,
+            replayed_records=records,
             reindexed_blocks=readded,
         )
         if self.obs.metrics.enabled:
@@ -815,8 +787,6 @@ class AnalysisService:
 
     def _quorum_ok(self) -> bool:
         """Whether a majority of journal replicas is currently reachable."""
-        if not self._replicated:
-            return True
         up = sum(1 for r in self.journal.replicas.values() if r.available)
         return up >= self.journal.quorum
 
@@ -837,7 +807,7 @@ class AnalysisService:
         these bounded probes only pace the case where the retry budget
         should give up first (surfacing ``max_elapsed`` in the drill).
         """
-        if not self._replicated or self._retry_pending:
+        if self._retry_pending:
             return
         if not (self._up and self._leader_up):
             return  # restart / lrestore will flush instead
@@ -894,7 +864,6 @@ class AnalysisService:
 
     def _failover(self, now: float, crash: LeaderCrash) -> None:
         """Elect a successor, fence its epoch, recover from the quorum."""
-        assert self._elector is not None
         live = [
             rid
             for rid in self.journal.replica_ids
@@ -904,12 +873,7 @@ class AnalysisService:
         self._epoch = result.term
         self.journal.fence(self._epoch)
         self.cluster.install_fence(self._epoch)
-        entries = self.journal.recover()
-        array = ElasticMapArray(
-            [BlockElasticMap.from_bytes(entries[bid]) for bid in sorted(entries)]
-        )
-        readded = self._rebuild_metadata(array)
-        self._journal_replays += 1
+        _records, readded = self._recover_metadata()
         self._leadership_changes += 1
         resume = now + result.elapsed_s
         self._failover_downtime += resume - crash.time
@@ -1101,7 +1065,7 @@ class AnalysisService:
                 f"{len(self._parked)} jobs still parked at end of run — the "
                 "fault plan's partitions must heal before the stream ends"
             )
-        if self._replicated and self.obs.metrics.enabled:
+        if self.obs.metrics.enabled:
             self.obs.metrics.gauge(
                 "service_journal_replica_lag",
                 help="peak committed frames any journal replica was missing",
@@ -1154,9 +1118,7 @@ class AnalysisService:
             degraded_intervals=self.degraded_intervals(),
             leadership_changes=self._leadership_changes,
             failover_downtime=self._failover_downtime,
-            journal_replica_lag=(
-                self.journal.peak_lag if self._replicated else 0
-            ),
+            journal_replica_lag=self.journal.peak_lag,
             metadata_digest=array_digest(self.datanet.elasticmap),
             results_digest=digest.hexdigest(),
         )

@@ -138,6 +138,26 @@ class TestJournalReplicaFaultDrills:
         assert layout == clean_layout
 
 
+class TestDriverCrashDrill:
+    @pytest.mark.parametrize("replicas", [1, 3, 5])
+    def test_driver_crash_converges_at_any_replica_count(
+        self, base_drill, replicas
+    ):
+        """A driver crash mid-append recovers through the quorum journal
+        at every replica count, to the crash-free run's bytes."""
+        crashed, layout = _run(
+            replace(base_drill, journal_replicas=replicas, crash=True)
+        )
+        clean, clean_layout = _run(
+            replace(base_drill, journal_replicas=replicas)
+        )
+        assert crashed.service_crashes == 1
+        assert crashed.journal_replays == 1
+        assert crashed.metadata_digest == clean.metadata_digest
+        assert crashed.results_digest == clean.results_digest
+        assert layout == clean_layout
+
+
 class TestDrillConfigValidation:
     def test_journal_crash_needs_two_replicas(self):
         with pytest.raises(ConfigError):

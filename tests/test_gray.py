@@ -841,6 +841,16 @@ class TestGrayCli:
             ["chaos", "--bitrot", "99@0"],
             # restart plans the restart rule cannot model
             ["chaos", "--restart-wave", "0", "--kill", "1@0.5"],
+            # counts and probabilities outside their range
+            ["chaos", "-n", "0"],
+            trace + ["-n", "0"],
+            ["theory", "--trials", "0"],
+            ["scrub", "--corrupt", "-1"],
+            ["chaos", "--flaky", "-0.1", "-n", "2000", "-k", "20"],
         ):
-            assert main(argv) == 2, argv
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse rejects a bad count itself
+                rc = exc.code
+            assert rc == 2, argv
             assert "error:" in capsys.readouterr().err

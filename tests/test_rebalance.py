@@ -8,6 +8,8 @@ the DataNet's cached bipartite graphs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,6 @@ from repro.rebalance import (
     check_plan_invariants,
     layout_digest,
 )
-from repro.serve.journal import MetadataJournal
 from tests.conftest import make_records
 
 
@@ -167,6 +168,25 @@ class TestPlanner:
             rack_of=cluster.rack_of,
         )
 
+    def test_plan_checks_itself_against_the_starting_layout(self, monkeypatch):
+        """A move whose destination already holds the block never leaves
+        the planner."""
+        _cluster, dataset, datanet = _environment()
+        placement = dataset.placement()
+        emit = RebalancePlanner._emit_moves
+
+        def corrupt(self, *args, **kwargs):
+            moves = emit(self, *args, **kwargs)
+            first = moves[0]
+            holder = next(
+                n for n in placement[first.block_id] if n != first.src
+            )
+            return [replace(first, dst=holder)] + moves[1:]
+
+        monkeypatch.setattr(RebalancePlanner, "_emit_moves", corrupt)
+        with pytest.raises(ConfigError, match="already holds"):
+            _plan(dataset, datanet, _profile(dataset))
+
     def test_coded_plan_keeps_stripe_geometry(self):
         cluster, dataset, datanet = _environment(coding=CodingSpec(4, 2))
         plan = _plan(dataset, datanet, _profile(dataset))
@@ -256,19 +276,6 @@ class TestExecutor:
         resumed = executor.apply(plan)
         assert resumed.completed
         assert layout_digest(dataset2) == reference
-
-    def test_journal_gets_frames_before_moves(self):
-        cluster, dataset, datanet = _environment()
-        plan = _plan(dataset, datanet, _profile(dataset))
-        journal = MetadataJournal()
-        RebalanceExecutor(cluster, datanet=datanet, journal=journal).apply(plan)
-        committed = set(journal.committed_blocks)
-        assert {m.block_id for m in plan.moves} <= committed
-
-    def test_journal_requires_datanet(self):
-        cluster, _dataset, _datanet = _environment()
-        with pytest.raises(ConfigError):
-            RebalanceExecutor(cluster, journal=MetadataJournal())
 
     def test_report_format(self):
         text = ExecutionReport(applied=3, bytes_migrated=99, completed=True).format()

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.builder import ElasticMapBuilder
-from repro.errors import ConfigError, DeadlineExceeded, Overloaded
+from repro.core.elasticmap import BlockElasticMap, ElasticMapArray
+from repro.errors import ConfigError, DeadlineExceeded, Overloaded, TornFrameError
 from repro.faults import FaultPlan, RetryPolicy, ServiceCrash
 from repro.metrics import ServiceSummary
 from repro.obs import Observability
+from repro.replication import QuorumFrame, ReplicatedJournal
+from repro.replication.journal import read_frames
 from repro.serve import (
     AdmissionController,
     DrillConfig,
-    MetadataJournal,
     TenantSpec,
     TokenBucket,
     WeightedFairQueue,
@@ -143,122 +145,140 @@ _obs_strategy = st.lists(
 _blocks_strategy = st.lists(_obs_strategy, min_size=1, max_size=6)
 
 
+def _journal(blocks):
+    """A one-replica quorum journal holding ``blocks``, its replica, and
+    the replica log's length after each append (``offsets[k]`` is the
+    log length after exactly ``k`` committed records)."""
+    journal = ReplicatedJournal(1)
+    (replica,) = journal.replicas.values()
+    offsets = [len(replica)]
+    for bm in blocks:
+        assert journal.append_block(bm)
+        offsets.append(len(replica))
+    return journal, replica, offsets
+
+
+def _to_array(entries):
+    return ElasticMapArray(
+        [BlockElasticMap.from_bytes(entries[bid]) for bid in sorted(entries)]
+    )
+
+
+def _committed(offsets, cut):
+    return max(k for k, off in enumerate(offsets) if off <= cut)
+
+
 class TestJournal:
     def test_round_trip(self):
         blocks = _blocks([(0, [("a", 10)]), (1, [("b", 20), ("a", 5)])])
-        journal = MetadataJournal()
-        for bm in blocks:
-            assert journal.append_block(bm)
-        replayed = MetadataJournal.replay(journal.to_bytes())
-        assert sorted(replayed.entries) == [0, 1]
-        assert replayed.records == 2
-        assert replayed.torn_bytes == 0
-        rebuilt = replayed.to_array()
-        assert [bm.to_bytes() for bm in rebuilt] == [
+        journal, replica, _offsets = _journal(blocks)
+        frames, torn = read_frames(replica.to_bytes())
+        assert [f.block_id for f in frames] == [0, 1]
+        assert torn == 0
+        entries = journal.recover()
+        assert sorted(entries) == [0, 1]
+        assert journal.record_count == 2
+        assert [bm.to_bytes() for bm in _to_array(entries)] == [
             bm.to_bytes() for bm in blocks
         ]
 
     def test_duplicate_frames_first_commit_wins(self):
         (bm,) = _blocks([(0, [("a", 10)])])
-        journal = MetadataJournal()
-        assert journal.append_block(bm)
+        journal, replica, _offsets = _journal([bm])
         assert not journal.append_block(bm)  # idempotent
         assert journal.record_count == 1
+        # a log that does hold two frames for one block: the first wins
+        (other,) = _blocks([(0, [("b", 7)])])
+        assert replica.install(
+            QuorumFrame(journal.epoch, 2, 0, other.to_bytes()),
+            leader_epoch=journal.epoch,
+        )
+        frames, _torn = read_frames(replica.to_bytes())
+        assert [f.block_id for f in frames] == [0, 0]
+        assert journal.recover() == {0: bm.to_bytes()}
 
     def test_bad_magic_raises(self):
         with pytest.raises(ConfigError):
-            MetadataJournal.replay(b"NOPE" + b"\x00" * 16)
+            read_frames(b"NOPE" + b"\x00" * 16)
 
     @given(specs=_blocks_strategy, data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_replay_after_crash_at_any_byte_is_byte_identical(
         self, specs, data
     ):
-        """Crash anywhere in the journal: replaying the prefix and
+        """Crash anywhere in the log: recovering the prefix and
         re-indexing the lost blocks reproduces the uninterrupted array."""
         blocks = _blocks(list(enumerate(specs)))
-        journal = MetadataJournal()
-        for bm in blocks:
-            journal.append_block(bm)
-        blob = journal.to_bytes()
-        full_digest = array_digest(
-            MetadataJournal.replay(blob).to_array()
-        )
+        journal, replica, offsets = _journal(blocks)
+        blob = replica.to_bytes()
+        full_digest = array_digest(_to_array(journal.recover()))
 
         cut = data.draw(
-            st.integers(min_value=len(b"RPJ1"), max_value=len(blob)),
+            st.integers(min_value=offsets[0], max_value=len(blob)),
             label="crash offset",
         )
-        replayed = MetadataJournal.replay(blob[:cut])
-        offsets = MetadataJournal.frame_offsets(blob)
-        committed = max(k for k, off in enumerate(offsets) if off <= cut)
-        assert replayed.records == committed
+        frames, _torn = read_frames(blob[:cut])
+        assert len(frames) == _committed(offsets, cut)
 
-        # deterministic re-indexing of what the torn tail lost
-        recovered = MetadataJournal.from_bytes(blob[:cut])
+        # the driver dies with the log torn at ``cut``; the restart reads
+        # back what the replica kept, then re-indexes the rest
+        replica.crash(at_byte=cut)
+        replica.restore()
+        assert sorted(journal.recover()) == [f.block_id for f in frames]
         for bm in blocks:
-            recovered.append_block(bm)
-        assert (
-            array_digest(MetadataJournal.replay(recovered.to_bytes()).to_array())
-            == full_digest
-        )
+            journal.append_block(bm)
+        assert journal.record_count == len(blocks)
+        assert array_digest(_to_array(journal.recover())) == full_digest
 
     def test_truncation_at_every_byte_never_raises(self):
         blocks = _blocks([(0, [("a", 10)]), (1, [("b", 7)])])
-        journal = MetadataJournal()
-        for bm in blocks:
-            journal.append_block(bm)
-        blob = journal.to_bytes()
-        offsets = MetadataJournal.frame_offsets(blob)
-        for cut in range(len(b"RPJ1"), len(blob) + 1):
-            replayed = MetadataJournal.replay(blob[:cut])
-            committed = max(k for k, off in enumerate(offsets) if off <= cut)
-            assert replayed.records == committed
+        _, full, offsets = _journal(blocks)
+        blob = full.to_bytes()
+        for cut in range(offsets[0], len(blob) + 1):
+            committed = _committed(offsets, cut)
+            frames, torn = read_frames(blob[:cut])
+            assert len(frames) == committed
+            assert torn == cut - offsets[committed]
+            # a replica torn at ``cut`` catches up byte-identically
+            journal, replica, _ = _journal(blocks)
+            replica.crash(at_byte=cut)
+            assert len(replica.frames) == committed
+            assert journal.restore_replica(replica.replica_id) == 2 - committed
+            assert replica.to_bytes() == blob
 
     def test_corrupt_checksum_stops_replay(self):
         blocks = _blocks([(0, [("a", 10)]), (1, [("b", 7)])])
-        journal = MetadataJournal()
-        for bm in blocks:
-            journal.append_block(bm)
-        blob = bytearray(journal.to_bytes())
-        offsets = MetadataJournal.frame_offsets(blob)
+        _, replica, offsets = _journal(blocks)
+        blob = bytearray(replica.to_bytes())
         blob[offsets[2] - 1] ^= 0xFF  # flip a checksum byte of frame 1
-        replayed = MetadataJournal.replay(bytes(blob))
-        assert replayed.records == 1
-        assert 0 in replayed.entries and 1 not in replayed.entries
+        frames, torn = read_frames(bytes(blob))
+        assert [f.block_id for f in frames] == [0]
+        assert torn == offsets[2] - offsets[1]
 
     def test_corrupt_non_final_frame_raises_typed(self):
         """A checksum failure with committed frames *behind* it is silent
         data loss, not a crash artifact — replay must refuse, typed."""
-        from repro.errors import TornFrameError
-
         blocks = _blocks([(0, [("a", 10)]), (1, [("b", 7)]), (2, [("a", 3)])])
-        journal = MetadataJournal()
-        for bm in blocks:
-            journal.append_block(bm)
-        blob = bytearray(journal.to_bytes())
-        offsets = MetadataJournal.frame_offsets(blob)
-        blob[offsets[1] + 8] ^= 0xFF  # corrupt frame 1's body, frame 2 intact
+        _, replica, offsets = _journal(blocks)
+        blob = bytearray(replica.to_bytes())
+        blob[offsets[1] + 8] ^= 0xFF  # corrupt frame 1's head, frame 2 intact
         with pytest.raises(TornFrameError) as exc:
-            MetadataJournal.replay(bytes(blob))
+            read_frames(bytes(blob))
         assert exc.value.offset == offsets[1]
         assert exc.value.expected_checksum != exc.value.actual_checksum
-        with pytest.raises(TornFrameError):
-            MetadataJournal.frame_offsets(bytes(blob))
 
     def test_torn_final_frame_is_clean_stop(self):
-        """The same corruption in the *final* frame is a torn in-place
-        write: replay stops cleanly at the last good frame."""
+        """The same damage in the *final* frame is a torn write: replay
+        stops cleanly at the last good frame."""
         blocks = _blocks([(0, [("a", 10)]), (1, [("b", 7)])])
-        journal = MetadataJournal()
-        for bm in blocks:
-            journal.append_block(bm)
-        blob = journal.to_bytes()
-        offsets = MetadataJournal.frame_offsets(blob)
+        journal, replica, offsets = _journal(blocks)
+        blob = replica.to_bytes()
         # truncated mid-frame: a crash cut the last write short
-        replayed = MetadataJournal.replay(blob[: offsets[2] - 3])
-        assert replayed.records == 1
-        assert replayed.torn_bytes > 0
+        frames, torn = read_frames(blob[: offsets[2] - 3])
+        assert len(frames) == 1
+        assert torn > 0
+        replica.crash(at_byte=offsets[2] - 3)
+        assert replica.to_bytes() == blob[: offsets[1]]
 
 
 # ---------------------------------------------------------------------------

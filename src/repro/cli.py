@@ -1197,7 +1197,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_scrub.add_argument("--nodes", type=int, default=8)
     p_scrub.add_argument("--seed", type=int, default=0)
-    p_scrub.add_argument("-n", "--records", type=int, default=20_000)
+    p_scrub.add_argument("-n", "--records", type=_int_at_least(1), default=20_000)
     p_scrub.add_argument("-k", "--keys", type=int, default=200, help="movies")
     p_scrub.add_argument("--block-size", default="64kb")
     p_scrub.add_argument(

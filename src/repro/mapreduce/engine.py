@@ -391,18 +391,7 @@ class MapReduceEngine:
                 end_time=max(shuffle_ends.values()),
                 volumes=graph.volumes,
             )
-            # group the combined pairs in local_data order: reducers that
-            # sum floats are sensitive to the order of their values
-            partitions: List[Dict[Any, List[Any]]] = [{} for _ in range(job.num_reducers)]
-            for node in local_data:
-                for group, pairs in zip(partitions, graph.pairs[node]):
-                    for k, v in pairs:
-                        group.setdefault(k, []).append(v)
-            output: Dict[Any, Any] = {}
-            for group in partitions:
-                for k, values in group.items():
-                    for ok, ov in job.run_reducer(k, values):
-                        output[ok] = ov
+            output = graph.reduce(job, local_data)
             phase.sim(start_time, timeline.makespan)
         if self.obs.metrics.enabled:
             shuffled = self.obs.metrics.counter(

@@ -50,7 +50,12 @@ from ..mapreduce.apps import (
 from ..metrics.service import ServiceSummary
 from ..obs import NULL_OBS, Observability
 from ..rebalance import RebalanceExecutor, RebalancePlanner, WorkloadProfile
-from ..workloads.movielens import GammaArrivalModel, MovieLensGenerator, most_popular
+from ..workloads.movielens import (
+    GammaArrivalModel,
+    MovieLensGenerator,
+    at_rank,
+    popularity_ranking,
+)
 from .admission import TenantSpec
 from .service import (
     AnalysisService,
@@ -342,6 +347,7 @@ def build_drill(
         obs=obs,
     )
 
+    ranking = popularity_ranking(records)
     requests: List[JobRequest] = []
     for i, submit in enumerate(arrivals):
         tenant = _TENANTS[i % len(_TENANTS)].name
@@ -356,7 +362,7 @@ def build_drill(
             JobRequest(
                 tenant=tenant,
                 job_id=f"job-{i:03d}",
-                sub_id=most_popular(records, rank=i % 6),
+                sub_id=at_rank(ranking, i % 6),
                 job=_job_for(i, _QUERY),
                 submit_time=submit,
                 deadline_s=deadline,

@@ -40,9 +40,9 @@ clock.  Four layers stack on the existing building blocks:
 Everything is simulated-time and seed-deterministic: two runs of the
 same request stream produce byte-identical
 :class:`~repro.metrics.ServiceSummary` digests, and the crash/no-crash
-pair agrees on both the metadata digest and the per-job results digest
-(job outputs are computed assignment-invariantly, so a recovery-induced
-placement change cannot perturb them).
+pair agrees on both the metadata digest and the per-job results digest.
+A job's digest covers what its reducers made of its map tasks' pairs, so
+a placement change after recovery leaves it alone; a dropped block moves it.
 """
 
 from __future__ import annotations
@@ -245,6 +245,14 @@ class _Parked(Exception):
     """Internal: dispatch must wait for a partition heal."""
 
 
+def _output_digest(output: Dict[object, object]) -> str:
+    """BLAKE2b-16 over one job's reduced output, keys in ``repr`` order."""
+    digest = hashlib.blake2b(digest_size=16)
+    for key in sorted(output, key=repr):
+        digest.update(f"{key!r}={output[key]!r};".encode("utf-8"))
+    return digest.hexdigest()
+
+
 class AnalysisService:
     """Single-process analysis daemon over one dataset.
 
@@ -404,36 +412,6 @@ class AnalysisService:
                 merged.append([start, end])
         return tuple((s, e) for s, e in merged)
 
-    # -- assignment-invariant job output ----------------------------------------
-
-    def _output_digest(self, req: JobRequest) -> str:
-        """Digest of the job's final output, independent of placement.
-
-        Selection filters the same records whichever nodes scan them, so
-        the output is a pure function of (dataset contents, sub_id, job).
-        Computing it block-by-block in id order — no per-node combiner —
-        keeps the digest identical across healthy, degraded, and
-        post-recovery assignments; it is the crash/no-crash oracle.
-        """
-        job = req.job
-        partitions: Dict[int, Dict[object, List[object]]] = {}
-        for bid in self._view.block_ids:
-            for record in self._view.block(bid).filter(req.sub_id):
-                for key, value in job.run_mapper(record):
-                    partitions.setdefault(job.partition(key), {}).setdefault(
-                        key, []
-                    ).append(value)
-        output: Dict[object, object] = {}
-        for pid in sorted(partitions):
-            bucket = partitions[pid]
-            for key in sorted(bucket, key=repr):
-                for rkey, rvalue in job.run_reducer(key, bucket[key]):
-                    output[rkey] = rvalue
-        digest = hashlib.blake2b(digest_size=16)
-        for key in sorted(output, key=repr):
-            digest.update(f"{key!r}={output[key]!r};".encode("utf-8"))
-        return digest.hexdigest()
-
     # -- dispatch ----------------------------------------------------------------
 
     def _schedule_for(self, now: float, req: JobRequest):
@@ -493,7 +471,7 @@ class AnalysisService:
             assignment,
             req.job.profile,
         )
-        builder.add_analysis(req.job_id, req.job, local_data, deps=sel_ids)
+        analysis = builder.add_analysis(req.job_id, req.job, local_data, deps=sel_ids)
 
         limits: List[Tuple[str, float]] = []
         if req.timeout_s is not None:
@@ -549,7 +527,7 @@ class AnalysisService:
                 end_time=end,
                 wait_s=wait,
                 degraded=degraded,
-                output_digest=self._output_digest(req),
+                output_digest=_output_digest(analysis.reduce(req.job, local_data)),
             )
 
         self._run_token += 1

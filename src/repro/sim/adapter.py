@@ -14,7 +14,7 @@ Graph shape per analysis job (classic Hadoop):
 - one **map** task per node holding filtered data, depending on *all*
   selection tasks (the phase barrier between the paper's two jobs).  The
   mappers and combiners run for real here, once per job; their combined
-  pairs size the partitions and feed the reducers;
+  pairs size the partitions and feed :meth:`AnalysisTasks.reduce`;
 - one **shuffle** task per reducer, depending on all maps.  Paper
   Section V-A.3: "The shuffle phase starts whenever a map task is
   finished and ends when all map tasks have been executed", so reducer
@@ -30,7 +30,7 @@ Graph shape per analysis job (classic Hadoop):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.aggregation import plan_greedy
 from ..core.scheduler import Assignment
@@ -76,6 +76,23 @@ class AnalysisTasks:
     reduces: Dict[int, str]
     pairs: Dict[NodeId, List[List[Tuple[Any, Any]]]]
     volumes: Dict[NodeId, Dict[int, int]]
+
+    def reduce(self, job: MapReduceJob, nodes: Iterable[NodeId]) -> Dict[Any, Any]:
+        """Run ``job``'s reducers over the combined pairs; returns the output.
+
+        Values are grouped in ``nodes`` order: reducers that sum floats
+        are sensitive to the order of their values.
+        """
+        partitions: List[Dict[Any, List[Any]]] = [{} for _ in range(job.num_reducers)]
+        for node in nodes:
+            for group, pairs in zip(partitions, self.pairs[node]):
+                for k, v in pairs:
+                    group.setdefault(k, []).append(v)
+        output: Dict[Any, Any] = {}
+        for group in partitions:
+            for k, values in group.items():
+                output.update(job.run_reducer(k, values))
+        return output
 
 
 @dataclass

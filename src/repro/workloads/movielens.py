@@ -18,7 +18,7 @@ Model:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,19 @@ from ..hdfs.records import Record
 from .clustering import ArrivalModel, GammaArrivalModel, zipf_weights
 from .text import TextGenerator
 
-__all__ = ["MovieLensGenerator", "most_popular"]
+__all__ = ["MovieLensGenerator", "at_rank", "most_popular", "popularity_ranking"]
+
+
+def popularity_ranking(records: Iterable[Record]) -> List[str]:
+    """Sub-dataset ids, most reviewed first, in ``Counter.most_common`` order."""
+    return [sid for sid, _n in Counter(r.sub_id for r in records).most_common()]
+
+
+def at_rank(ranking: Sequence[str], rank: int) -> str:
+    """``ranking[rank]``, or a :class:`~repro.errors.ConfigError` past its end."""
+    if rank >= len(ranking):
+        raise ConfigError(f"rank {rank} out of range for {len(ranking)} sub-datasets")
+    return ranking[rank]
 
 
 def most_popular(records: Iterable[Record], rank: int = 0) -> str:
@@ -36,10 +48,7 @@ def most_popular(records: Iterable[Record], rank: int = 0) -> str:
     The paper's experiments analyze "a certain movie" with a large review
     count; rank 0 (the most popular) is the natural stand-in.
     """
-    counts = Counter(r.sub_id for r in records)
-    if rank >= len(counts):
-        raise ConfigError(f"rank {rank} out of range for {len(counts)} sub-datasets")
-    return counts.most_common()[rank][0]
+    return at_rank(popularity_ranking(records), rank)
 
 
 class MovieLensGenerator:

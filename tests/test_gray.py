@@ -846,6 +846,7 @@ class TestGrayCli:
             trace + ["-n", "0"],
             ["theory", "--trials", "0"],
             ["scrub", "--corrupt", "-1"],
+            ["scrub", "-n", "0"],
             ["chaos", "--flaky", "-0.1", "-n", "2000", "-k", "20"],
         ):
             try:

@@ -4,14 +4,23 @@ crash-safe journaling, and the deterministic soak drill."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import repro.serve.service as service_module
+import repro.workloads.movielens as movielens
 from repro.core.builder import ElasticMapBuilder
+from repro.core.datanet import DataNet
 from repro.core.elasticmap import BlockElasticMap, ElasticMapArray
+from repro.core.scheduler import Assignment
 from repro.errors import ConfigError, DeadlineExceeded, Overloaded, TornFrameError
 from repro.faults import FaultPlan, RetryPolicy, ServiceCrash
+from repro.hdfs.cluster import HDFSCluster
+from repro.mapreduce import ClusterCostModel, LocalityScheduler
+from repro.mapreduce.apps import parse_rating
 from repro.metrics import ServiceSummary
 from repro.obs import Observability
 from repro.replication import QuorumFrame, ReplicatedJournal
@@ -26,7 +35,9 @@ from repro.serve import (
     build_drill,
     run_service_drill,
 )
-from repro.sim import DiscreteEventSimulator, SimTask
+from repro.serve.scenario import _QUERY, _job_for
+from repro.sim import DiscreteEventSimulator, JobGraphBuilder, SimTask
+from repro.workloads.movielens import MovieLensGenerator, most_popular
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +458,133 @@ class TestServiceDrill:
         assert summary.rejected.get("backpressure", 0) > 0
         assert summary.silent_drops == 0
         assert summary.wait_p99_s > 0
+
+
+    def test_drill_ranks_its_targets_in_one_counting_pass(self, monkeypatch):
+        passes = []
+
+        class CountingCounter(Counter):
+            def __init__(self, *args, **kwargs):
+                passes.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(movielens, "Counter", CountingCounter)
+        config = DrillConfig(num_nodes=8, jobs=14, append_batches=1)
+        setup = build_drill(config)
+        assert len(passes) == 1
+        records = _drill_records(setup)
+        assert [req.sub_id for req in setup.requests] == [
+            most_popular(records, rank=i % 6) for i in range(config.jobs)
+        ]
+
+
+def _drill_records(setup):
+    """Every record of a drill: the initial dataset, then the appends."""
+    records = [
+        r
+        for block in setup.service.cluster.dataset("movielens").blocks()
+        for r in block.records()
+    ]
+    return records + [r for batch in setup.appends for r in batch.records]
+
+
+# ---------------------------------------------------------------------------
+# the results digest covers the blocks that ran
+
+#: Reaches all three dispatch routes: schedule, gray_schedule (during the
+#: partition) and degraded_schedule (during the metadata outage).
+ROUTES_DRILL = DrillConfig(
+    seed=3, jobs=8, append_batches=2, partition=True, meta_down=True
+)
+
+
+def _drop_one_block(assignment, view, sub_id):
+    """``assignment`` less its first block that holds ``sub_id`` records."""
+    for node in sorted(assignment.blocks_by_node, key=repr):
+        for bid in assignment.blocks_by_node[node]:
+            if view.block(bid).filter(sub_id):
+                return Assignment(
+                    {
+                        n: [b for b in blocks if b != bid]
+                        for n, blocks in assignment.blocks_by_node.items()
+                    },
+                    dict(assignment.workload_by_node),
+                )
+    raise AssertionError(f"no assigned block holds {sub_id!r} records")
+
+
+class TestDroppedBlock:
+    """A dispatch route that loses a block moves the results digest."""
+
+    @pytest.fixture(scope="class")
+    def healthy_digest(self):
+        return run_service_drill(ROUTES_DRILL).results_digest
+
+    @pytest.mark.parametrize(
+        "owner, name, sub_id_at",
+        [
+            (DataNet, "schedule", 1),
+            (DataNet, "gray_schedule", 1),
+            (service_module, "degraded_schedule", 2),
+        ],
+    )
+    def test_dropped_block_changes_results_digest(
+        self, owner, name, sub_id_at, healthy_digest, monkeypatch
+    ):
+        setup = build_drill(ROUTES_DRILL)
+        service = setup.service
+        original = getattr(owner, name)
+        calls = []
+
+        def dropping(*args, **kwargs):
+            result = original(*args, **kwargs)
+            sub_id = args[sub_id_at]
+            calls.append(sub_id)
+            view = service.cluster.dataset(service.dataset_name)
+            if isinstance(result, tuple):  # (assignment, *what it set aside)
+                return (_drop_one_block(result[0], view, sub_id), *result[1:])
+            return _drop_one_block(result, view, sub_id)
+
+        monkeypatch.setattr(owner, name, dropping)
+        summary = service.run(setup.requests, setup.appends)
+        assert calls, f"the drill never dispatched through {name}"
+        assert summary.results_digest != healthy_digest
+
+
+class TestDigestExactness:
+    """What lets one results digest stand for every assignment."""
+
+    def test_drill_ratings_are_multiples_of_one_half(self):
+        setup = build_drill(DrillConfig(num_nodes=8, jobs=8, append_batches=1))
+        ratings = {parse_rating(r.payload) for r in _drill_records(setup)}
+        assert ratings
+        assert all(x > 0 and (2 * x).is_integer() for x in ratings), sorted(ratings)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=10, deadline=None)
+    def test_property_drill_apps_reduce_equal_under_two_assignments(self, seed):
+        rng = np.random.default_rng(seed)
+        cluster = HDFSCluster(num_nodes=6, block_size=8 * 1024, rng=rng)
+        records = MovieLensGenerator(
+            num_movies=20, total_reviews=1500, duration_days=60.0, rng=rng
+        ).generate()
+        dataset = cluster.write_dataset("m", records)
+        datanet = DataNet.build(dataset, alpha=0.3)
+        target = most_popular(records)
+        aware = datanet.schedule(target)
+        stock = LocalityScheduler().schedule(datanet.bipartite_graph(target))
+        assume(aware.blocks_by_node != stock.blocks_by_node)  # rarely equal
+        for index in range(4):
+            job = _job_for(index, _QUERY)
+            outputs = []
+            for assignment in (aware, stock):
+                builder = JobGraphBuilder(ClusterCostModel())
+                _ids, local_data = builder.add_selection(
+                    "j", dataset, target, assignment, job.profile
+                )
+                tasks = builder.add_analysis("j", job, local_data)
+                outputs.append(tasks.reduce(job, local_data))
+            assert outputs[0] == outputs[1], job.name
 
 
 # ---------------------------------------------------------------------------
